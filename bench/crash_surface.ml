@@ -17,11 +17,6 @@
      {e every} enumerated boundary of every kind. This is the claim-3
      statement the sampled experiments cannot make: zero contract breaks
      at all of the tens of thousands of crash points.
-   - with [--fork] (implies --journal): the PR 8 snapshot-forking
-     engine timed head-to-head against the journal engine on the same
-     candidates, plus its own differential oracle — both engines re-run
-     with media digests on and every verdict, digest included, must be
-     bit-identical; the fork engine must not be slower.
 
    Parallel sweeps must be bit-identical to serial — the fan-out is
    measurement machinery, not a source of nondeterminism. The identity
@@ -33,7 +28,7 @@
    self-validates so `dune runtest` keeps the harness honest.
 
    Usage: crash_surface.exe [--quick] [--check] [--journal] [--full]
-                            [--fork] [--jobs N] [--output PATH] *)
+                            [--jobs N] [--output PATH] *)
 
 open Desim
 open Harness
@@ -142,7 +137,7 @@ let sweep_json (r : Crash_surface.result) =
 let usage () =
   print_endline
     "usage: crash_surface.exe [--quick] [--check] [--journal] [--full] \
-     [--fork] [--jobs N] [--output PATH]";
+     [--jobs N] [--output PATH]";
   exit 2
 
 let () =
@@ -150,7 +145,6 @@ let () =
   let check = ref false in
   let journal = ref false in
   let full = ref false in
-  let fork = ref false in
   let jobs = ref (Parallel.default_jobs ()) in
   let output = ref "BENCH_PR3_SWEEP.json" in
   let rec parse = function
@@ -159,7 +153,6 @@ let () =
     | "--check" :: rest -> check := true; parse rest
     | "--journal" :: rest -> journal := true; parse rest
     | "--full" :: rest -> full := true; journal := true; parse rest
-    | "--fork" :: rest -> fork := true; journal := true; parse rest
     | "--jobs" :: n :: rest ->
         (match int_of_string_opt n with
         | Some n when n >= 1 -> jobs := n
@@ -170,7 +163,7 @@ let () =
   in
   parse (List.tl (Array.to_list Sys.argv));
   let quick = !quick and jobs = !jobs in
-  let journal = !journal and full = !full and fork = !fork in
+  let journal = !journal and full = !full in
   let cores = Domain.recommended_domain_count () in
   let target = if quick then 24 else 600 in
   let min_explored = if quick then 12 else 500 in
@@ -300,80 +293,6 @@ let () =
     end
   in
 
-  (* -- fork engine: snapshot forking vs per-chunk prefix replay -------- *)
-  let fork_section =
-    if not fork then []
-    else begin
-      (* Head-to-head timing on the strided candidates, measured
-         back-to-back under identical conditions. *)
-      let tj0 = Unix.gettimeofday () in
-      let journal_run = Crash_surface.sweep_journal ~jobs protected_config in
-      let journal_run_s = Unix.gettimeofday () -. tj0 in
-      let tk0 = Unix.gettimeofday () in
-      let fork_run = Crash_surface.sweep_fork ~jobs protected_config in
-      let fork_run_s = Unix.gettimeofday () -. tk0 in
-      let fork_identical =
-        journal_run.Crash_surface.r_verdicts = fork_run.Crash_surface.r_verdicts
-      in
-      let fork_parallel = Crash_surface.sweep_fork ~jobs:4 protected_config in
-      let fork_parallel_identical =
-        fork_run.Crash_surface.r_verdicts
-        = fork_parallel.Crash_surface.r_verdicts
-      in
-      (* Differential oracle: both engines with media digests on — the
-         per-boundary CRCs over the entire post-crash durable media
-         must agree. *)
-      let oracle_config =
-        { protected_config with Crash_surface.media_digests = true }
-      in
-      let oracle_journal = Crash_surface.sweep_journal ~jobs:1 oracle_config in
-      let oracle_fork = Crash_surface.sweep_fork ~jobs:1 oracle_config in
-      let oracle_identical =
-        oracle_journal.Crash_surface.r_verdicts
-        = oracle_fork.Crash_surface.r_verdicts
-      in
-      Printf.printf
-        "crash-surface: fork sweep %d points in %.2fs vs journal %.2fs \
-         (%.2fx); bit-identical: %b, digests bit-identical: %b\n%!"
-        fork_run.Crash_surface.r_explored fork_run_s journal_run_s
-        (fork_run_s /. journal_run_s)
-        fork_identical oracle_identical;
-      if fork_run.Crash_surface.r_contract_breaks <> 0 then
-        fail "fork sweep found contract breaks (want 0)";
-      if not fork_identical then
-        fail "fork sweep verdicts differ from the journal engine";
-      if not fork_parallel_identical then
-        fail "fork parallel verdicts differ from serial";
-      if not oracle_identical then
-        fail "fork engine differs from journal engine under media digests";
-      if fork_run_s > (journal_run_s *. 1.05) +. 0.05 then
-        fail
-          (Printf.sprintf
-             "fork sweep %.2fs slower than journal sweep %.2fs" fork_run_s
-             journal_run_s);
-      [
-        ( "fork",
-          Obj
-            [
-              ("sweep", sweep_json fork_run);
-              ("seconds", Num fork_run_s);
-              ("journal_seconds", Num journal_run_s);
-              ("fork_over_journal", Num (fork_run_s /. journal_run_s));
-              ("bit_identical_to_journal", Bool fork_identical);
-              ("parallel_bit_identical", Bool fork_parallel_identical);
-              ( "oracle",
-                Obj
-                  [
-                    ( "points",
-                      Num (float_of_int oracle_fork.Crash_surface.r_explored) );
-                    ("media_digests", Bool true);
-                    ("bit_identical", Bool oracle_identical);
-                  ] );
-            ] );
-      ]
-    end
-  in
-
   (* -- full surface: every boundary of every kind, journal path -------- *)
   let full_section =
     if not full then []
@@ -441,7 +360,6 @@ let () =
          ("harness", Str "crash_surface.exe");
          ("quick", Bool quick);
          ("full", Bool full);
-         ("fork", Bool fork);
          ("cores", Num (float_of_int cores));
          ("jobs", Num (float_of_int jobs));
          ( "window",
@@ -476,7 +394,7 @@ let () =
              @ speedup_json
              @ [ ("bit_identical", Bool identical) ]) );
        ]
-      @ journal_section @ fork_section @ full_section
+      @ journal_section @ full_section
       @ [
           ( "baseline",
             Obj [ ("sweep", sweep_json baseline); ("seconds", Num baseline_s) ] );

@@ -9,9 +9,6 @@
      queue against the binary heap it replaced, both driven by one
      deterministic mixed-horizon op stream — the wheel must match the
      heap's pop order exactly (fingerprint) and must not be slower;
-     and the fork-based crash sweep against the journal engine over
-     the full single-node surface — bit-identical verdicts (media
-     digests on) and no slower;
    - the commit-path hot paths this PR fights over: the NVMe submission
      arithmetic (service time + zone accounting), the WAL stream append
      (one record encoded straight into a warm stream buffer), and the
@@ -151,49 +148,6 @@ let bench_wheel_vs_heap ~quick ~events =
   let wheel = best_of n (fun () -> Wheel_mix.run ~events) in
   let heap = best_of n (fun () -> Heap_mix.run ~events) in
   (wheel, heap)
-
-(* ---- fork-based vs journal-based crash sweep (PR 8) ----------------- *)
-
-(* The whole single-node crash surface, reconstructed twice: the
-   journal engine pays a from-scratch journal replay per chunk (~8.5
-   full folds at 16 chunks), the fork engine folds once and snapshots
-   COW forks at chunk boundaries (~2 folds). With media digests on,
-   every per-boundary verdict — digest included — must be
-   bit-identical; the fork engine must not be slower. *)
-let bench_fork_sweep ~quick ~jobs =
-  let scenario =
-    {
-      Scenario.default with
-      Scenario.mode = Scenario.Rapilog;
-      workload =
-        Scenario.Micro
-          {
-            Workload.Microbench.default_config with
-            Workload.Microbench.keys = 64;
-            value_bytes = 32;
-          };
-      clients = 2;
-      seed = 99L;
-    }
-  in
-  let config =
-    {
-      (Crash_surface.default scenario) with
-      Crash_surface.window_start = Time.ms 2;
-      window_length = Time.ms 2;
-      stride = (if quick then 5 else 1);
-      tight_window = Time.ms 20;
-      tight_buffer_bytes = 64 * 1024;
-      media_digests = true;
-    }
-  in
-  let t0 = Unix.gettimeofday () in
-  let journal = Crash_surface.sweep_journal ~jobs config in
-  let journal_s = Unix.gettimeofday () -. t0 in
-  let t1 = Unix.gettimeofday () in
-  let fork = Crash_surface.sweep_fork ~jobs config in
-  let fork_s = Unix.gettimeofday () -. t1 in
-  (config.Crash_surface.stride, journal, journal_s, fork, fork_s)
 
 (* The Sim.step hot path: one self-rescheduling closure, so every
    simulated event exercises schedule_after + step + pop with no
@@ -669,11 +623,6 @@ let () =
   let commit_rows, commit_identical = bench_commit_path ~quick ~jobs in
   Printf.printf "perf: journal crash sweep over nvme and multi-stream configs...\n%!";
   let journal_results = journal_cells ~quick ~jobs in
-  Printf.printf "perf: fork vs journal sweep over the single-node surface...\n%!";
-  let sweep_stride, fj_journal, fj_journal_s, fj_fork, fj_fork_s =
-    bench_fork_sweep ~quick ~jobs
-  in
-  let fork_identical = fj_journal = fj_fork in
   Printf.printf "perf: per-stage metrics breakdown (%d cells)...\n%!"
     (List.length (metrics_cells ~quick));
   let metrics_rows = bench_metrics ~quick in
@@ -790,21 +739,6 @@ let () =
                      ("lost_total", Num (float_of_int r.Crash_surface.r_lost_total));
                    ])
                journal_results) );
-        ( "fork_sweep",
-          Obj
-            [
-              ("stride", Num (float_of_int sweep_stride));
-              ( "explored",
-                Num (float_of_int fj_fork.Crash_surface.r_explored) );
-              ("journal_seconds", Num fj_journal_s);
-              ("fork_seconds", Num fj_fork_s);
-              ("fork_over_journal", Num (fj_fork_s /. fj_journal_s));
-              ("bit_identical", Bool fork_identical);
-              ( "contract_breaks",
-                Num (float_of_int fj_fork.Crash_surface.r_contract_breaks) );
-              ( "lost_total",
-                Num (float_of_int fj_fork.Crash_surface.r_lost_total) );
-            ] );
         ( "metrics",
           Obj
             [
@@ -835,11 +769,6 @@ let () =
      (%.2fx), order fingerprints equal: %b\n"
     (wheel_rate /. 1e6) wheel_words (heap_rate /. 1e6)
     (wheel_rate /. heap_rate) (wheel_fp = heap_fp);
-  Printf.printf
-    "perf: fork sweep %d points: journal %.2fs, fork %.2fs (%.2fx), \
-     bit-identical: %b\n"
-    fj_fork.Crash_surface.r_explored fj_journal_s fj_fork_s
-    (fj_fork_s /. fj_journal_s) fork_identical;
   Printf.printf "perf: link %.2fM msg/s (%.3f words/msg)\n" (link_rate /. 1e6)
     link_words;
   Printf.printf
@@ -939,20 +868,6 @@ let () =
         (Printf.sprintf
            "wheel %.2fM ev/s slower than heap %.2fM ev/s on the standard mix"
            (wheel_rate /. 1e6) (heap_rate /. 1e6));
-    if not fork_identical then
-      fail "fork sweep verdicts differ from the journal engine";
-    if fj_fork.Crash_surface.r_explored < 6 then
-      fail
-        (Printf.sprintf "fork sweep explored only %d boundaries"
-           fj_fork.Crash_surface.r_explored);
-    (* Wall-clock: the fork engine does strictly less fold work; allow
-       5% + 50ms of shared-machine noise before calling it a
-       regression. *)
-    if fj_fork_s > (fj_journal_s *. 1.05) +. 0.05 then
-      fail
-        (Printf.sprintf
-           "fork sweep %.2fs slower than journal sweep %.2fs" fj_fork_s
-           fj_journal_s);
     alloc_gate "net link" link_words;
     alloc_gate "nvme submit" nvme_words;
     alloc_gate "log append" append_words;

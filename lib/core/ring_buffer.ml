@@ -41,18 +41,6 @@ let create ~sector_size ~capacity_bytes =
     pop_count = 0;
   }
 
-(* A deep copy sharing nothing mutable: the slot arrays are flat ints
-   and immutable strings, so three Array.copy calls capture the whole
-   state. The fork-based crash sweep snapshots the logger's ring this
-   way at every chunk boundary. *)
-let copy t =
-  {
-    t with
-    lbas = Array.copy t.lbas;
-    datas = Array.copy t.datas;
-    stamps = Array.copy t.stamps;
-  }
-
 let capacity_bytes t = t.capacity_bytes
 let bytes_used t = t.bytes
 let length t = t.count

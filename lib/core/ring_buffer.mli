@@ -54,12 +54,6 @@ val iter : t -> (entry -> unit) -> unit
     crash-surface reconstruction snapshots the buffer contents at a
     boundary with this. *)
 
-val copy : t -> t
-(** An independent deep copy: subsequent pushes and pops on either
-    buffer leave the other untouched. O(slots); payload strings are
-    immutable and stay shared. The fork-based crash sweep snapshots
-    the logger's ring at every chunk boundary with this. *)
-
 val pushed_bytes : t -> int
 (** Total bytes ever accepted. *)
 

@@ -736,30 +736,6 @@ module Incremental = struct
 
   let rebuilds t = t.rebuild_count
 
-  (* A cursor snapshot for the fork-based sweep: deep-copy every
-     mutable table so the fork and the advancing original never alias.
-     Cached pages are themselves mutable (redo patches [values] and
-     [page_lsn] in place), so each gets a fresh record with its own
-     value table. [sh] is immutable and stays shared; [data_base] is
-     the fork's own frozen view of the media snapshot. *)
-  let fork t ~data_base =
-    let pages = Hashtbl.create (max 16 (Hashtbl.length t.r_pages)) in
-    Hashtbl.iter
-      (fun id p ->
-        Hashtbl.replace pages id
-          { p with Page.values = Hashtbl.copy p.Page.values })
-      t.r_pages;
-    {
-      t with
-      data_base;
-      r_pages = pages;
-      r_parities = Hashtbl.copy t.r_parities;
-      r_seen = Hashtbl.copy t.r_seen;
-      r_counts = Hashtbl.copy t.r_counts;
-      pending_invalid = Hashtbl.copy t.pending_invalid;
-    }
-
-
   (* First index where [data] differs from the future stream at [off]
      (bytes past the stream's end differ by definition); [len] if none. *)
   let first_diff sh ~off data ~len =

@@ -151,12 +151,4 @@ module Incremental : sig
   (** Times the shared redo state was rebuilt from scratch after a
       master-block move (diagnostic; never on the sweep's workloads). *)
 
-  val fork : t -> data_base:Storage.Block.t -> t
-  (** An independent deep copy of the cursor: watermarks, redo state and
-      every cached page are duplicated, so {!run} and note calls on
-      either side never disturb the other. [data_base] must be the
-      fork's own frozen device over a media snapshot taken at the same
-      boundary (see {!Storage.Block.Media.fork}). The immutable
-      {!shared} stays shared. The fork-based crash sweep hands one fork
-      per candidate chunk to its worker domains. *)
 end

@@ -5,8 +5,7 @@
     events scheduled for the same instant fire in insertion order. The
     heap is stored as unboxed parallel arrays, so {!add}, {!pop_min} and
     {!drain_one} perform no per-event heap allocation (array growth
-    amortises away); only the option-returning conveniences {!pop} and
-    {!peek_time} allocate.
+    amortises away).
 
     Since PR 8 the production [Event_queue] is the hierarchical
     {!Timer_wheel}; this module keeps the O(log n) heap alive as the
@@ -61,9 +60,3 @@ val drain_one : 'a t -> f:(Time.t -> 'a -> unit) -> bool
 (** [drain_one q ~f] pops the earliest event and applies [f time
     payload]; [false] (and [f] not called) when empty. *)
 
-val pop : 'a t -> (Time.t * 'a) option
-(** Remove and return the earliest event, or [None] if empty.
-    Convenience form; allocates the tuple and the [Some]. *)
-
-val peek_time : 'a t -> Time.t option
-(** Time of the earliest event without removing it. *)

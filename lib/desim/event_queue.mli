@@ -10,8 +10,7 @@
     the wheel is model-tested against. The pop order of the two backends
     is identical by construction and by test. {!add}, {!pop_min} and
     {!drain_one} perform no per-event heap allocation (pool growth
-    amortises away); only the deprecated option-returning conveniences
-    {!pop} and {!peek_time} allocate.
+    amortises away).
 
     Inserts must be monotone — at or after the last popped time — which
     {!Sim} guarantees by construction ([Sim.schedule_at] refuses the
@@ -55,15 +54,3 @@ val drain_one : 'a t -> f:(Time.t -> 'a -> unit) -> bool
 (** [drain_one q ~f] pops the earliest event and applies [f time
     payload]; [false] (and [f] not called) when empty. Exceptionless and
     allocation-free provided [f] is a pre-existing closure. *)
-
-val pop : 'a t -> (Time.t * 'a) option
-[@@deprecated "allocates a tuple and a Some per event; use drain_one"]
-(** Remove and return the earliest event, or [None] if empty.
-    @deprecated Allocates the tuple and the [Some] on every call; use
-    {!drain_one} (or {!is_empty} + {!min_time} + {!pop_min}). *)
-
-val peek_time : 'a t -> Time.t option
-[@@deprecated "allocates a Some per call; use is_empty + min_time"]
-(** Time of the earliest event without removing it.
-    @deprecated Allocates the [Some] on every call; use {!is_empty} and
-    {!min_time}. *)

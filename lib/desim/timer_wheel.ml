@@ -346,12 +346,3 @@ let drain_one q ~f =
     f (Time.of_ns tns) p;
     true
   end
-
-let pop q =
-  if length q = 0 then None
-  else begin
-    let tns = min_time_ns q in
-    Some (Time.of_ns tns, pop_min q)
-  end
-
-let peek_time q = if length q = 0 then None else Some (min_time q)

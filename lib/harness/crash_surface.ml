@@ -1632,10 +1632,32 @@ let chunk_ranges n =
   let chunks = min n max_chunks in
   List.init chunks (fun i -> (n * i / chunks, n * (i + 1) / chunks))
 
-(* Re-emit per-chunk verdict lists in canonical kind-major ascending
-   order and assemble the final result — the common tail of the
-   chunked engines. *)
-let assemble_chunks config preps chunk_results =
+let sweep_journal ?jobs config =
+  let preps = List.map (fun kind -> enumerate_journal config kind) config.kinds in
+  (* Within each kind the chunks are handed out in descending
+     event-index order: the latest chunks replay the longest journal
+     prefix, so starting them first keeps the stragglers off the
+     critical path. Results are re-emitted below in canonical
+     kind-major ascending order. *)
+  let tasks =
+    List.concat_map
+      (fun prep ->
+        let n = Array.length prep.p_enum.e_candidates in
+        List.rev_map (fun (lo, hi) -> (prep, lo, hi)) (chunk_ranges n))
+      preps
+  in
+  let chunk_results =
+    Parallel.map ?jobs
+      (fun (prep, lo, hi) ->
+        let cur = cursor_create prep in
+        let out = ref [] in
+        for i = lo to hi - 1 do
+          let event_index, at_ns = prep.p_enum.e_candidates.(i) in
+          out := reconstruct_point config prep cur ~event_index ~at_ns :: !out
+        done;
+        (prep.p_kind, lo, List.rev !out))
+      tasks
+  in
   let kind_order kind =
     let rec go i = function
       | [] -> assert false
@@ -1656,114 +1678,3 @@ let assemble_chunks config preps chunk_results =
     ~boundaries_by_kind:
       (List.map (fun p -> (p.p_kind, p.p_enum.e_boundaries)) preps)
     verdicts
-
-let sweep_journal ?jobs config =
-  let preps = List.map (fun kind -> enumerate_journal config kind) config.kinds in
-  (* Within each kind the chunks are handed out in descending
-     event-index order: the latest chunks replay the longest journal
-     prefix, so starting them first keeps the stragglers off the
-     critical path. Results are re-emitted in canonical ascending
-     order by {!assemble_chunks}. *)
-  let tasks =
-    List.concat_map
-      (fun prep ->
-        let n = Array.length prep.p_enum.e_candidates in
-        List.rev_map (fun (lo, hi) -> (prep, lo, hi)) (chunk_ranges n))
-      preps
-  in
-  let chunk_results =
-    Parallel.map ?jobs
-      (fun (prep, lo, hi) ->
-        let cur = cursor_create prep in
-        let out = ref [] in
-        for i = lo to hi - 1 do
-          let event_index, at_ns = prep.p_enum.e_candidates.(i) in
-          out := reconstruct_point config prep cur ~event_index ~at_ns :: !out
-        done;
-        (prep.p_kind, lo, List.rev !out))
-      tasks
-  in
-  assemble_chunks config preps chunk_results
-
-(* A deep snapshot of a cursor at its current fold position. The media
-   fork at page granularity ({!Storage.Block.Media.fork}, O(pages) per
-   image); the ring replica, model table, ack array, progress counters
-   and the incremental-recovery cursor are copied outright, the latter
-   re-rooted on a frozen view of the forked members. Nothing mutable is
-   shared with the original afterwards — and the COW media replace
-   shared pages rather than mutate them — so the fork can be handed to
-   a worker domain while the producer keeps folding. *)
-let cursor_fork prep cur =
-  let log_base = Storage.Block.Media.fork cur.log_base in
-  let member_base = Array.map Storage.Block.Media.fork cur.member_base in
-  let data_base () =
-    let member_frozen =
-      Array.map (Storage.Block.of_media ~model:"fork-base") member_base
-    in
-    if prep.p_chunk_sectors = 0 then member_frozen.(0)
-    else
-      Storage.Stripe.create
-        (Sim.create ~seed:0L ())
-        ~chunk_sectors:prep.p_chunk_sectors member_frozen
-  in
-  {
-    pos = cur.pos;
-    log_base;
-    member_base;
-    inc =
-      Option.map
-        (fun inc -> Dbms.Recovery.Incremental.fork inc ~data_base:(data_base ()))
-        cur.inc;
-    replica = Rapilog.Ring_buffer.copy cur.replica;
-    model = Hashtbl.copy cur.model;
-    acked = Array.copy cur.acked;
-    n_acked = cur.n_acked;
-    pops_seen = cur.pops_seen;
-    log_completes_seen = cur.log_completes_seen;
-    pushes_seen = cur.pushes_seen;
-    log_submits_seen = cur.log_submits_seen;
-    last_log_lba = cur.last_log_lba;
-    member_completes_seen = Array.copy cur.member_completes_seen;
-    member_expected = Array.copy cur.member_expected;
-  }
-
-let sweep_fork ?jobs config =
-  let preps = List.map (fun kind -> enumerate_journal config kind) config.kinds in
-  (* One producer cursor per kind folds the journal exactly once, in
-     candidate order, snapshotting itself at each chunk's first
-     boundary; each worker then folds only its own chunk's records on
-     its snapshot. Total fold work is ~2 passes regardless of the chunk
-     count, where the from-scratch engine above pays the replayed
-     prefix of every chunk (~half the chunk count in passes). The chunk
-     partition is {!chunk_ranges} — the same as {!sweep_journal}'s —
-     and each point runs the same {!reconstruct_point} over identically
-     folded state, so verdicts (media digests included) are
-     bit-identical to that engine at any [jobs]. Every fork is taken
-     before {!Parallel.map} spawns a domain, so workers never observe
-     the producer moving. *)
-  let tasks =
-    List.concat_map
-      (fun prep ->
-        let cands = prep.p_enum.e_candidates in
-        let n = Array.length cands in
-        let producer = cursor_create prep in
-        List.map
-          (fun (lo, hi) ->
-            let event_index, _ = cands.(lo) in
-            cursor_advance prep producer ~boundary:event_index;
-            (prep, cursor_fork prep producer, lo, hi))
-          (chunk_ranges n))
-      preps
-  in
-  let chunk_results =
-    Parallel.map ?jobs
-      (fun (prep, cur, lo, hi) ->
-        let out = ref [] in
-        for i = lo to hi - 1 do
-          let event_index, at_ns = prep.p_enum.e_candidates.(i) in
-          out := reconstruct_point config prep cur ~event_index ~at_ns :: !out
-        done;
-        (prep.p_kind, lo, List.rev !out))
-      tasks
-  in
-  assemble_chunks config preps chunk_results

@@ -276,16 +276,3 @@ val sweep_journal : ?jobs:int -> config -> result
     boundaries depend only on the candidate count, each chunk replays
     the journal prefix from scratch, so results are bit-identical at any
     [jobs]. *)
-
-val sweep_fork : ?jobs:int -> config -> result
-(** {!sweep_journal} with snapshot forking instead of per-chunk prefix
-    replay: one producer cursor per kind folds the journal exactly
-    once, forking its state — copy-on-write media images
-    ({!Storage.Block.Media.fork}), ring replica, incremental-recovery
-    cursor ({!Dbms.Recovery.Incremental.fork}) — at each chunk's first
-    candidate boundary, and every worker folds only its own chunk.
-    Same chunk partition, same per-point reconstruction, therefore
-    verdicts (media digests included) bit-identical to {!sweep_journal}
-    at any [jobs]; total journal-fold work drops from about half the
-    chunk count in full passes to two. Raises [Invalid_argument]
-    unless {!journal_supported}. *)

@@ -45,34 +45,19 @@ let sectors_of_bytes t bytes =
   (bytes + t.info.sector_size - 1) / t.info.sector_size
 
 module Media = struct
-  (* Page-level copy-on-write store (PR 8). Sectors group into pages of
-     [page_sectors]; a page is a flat [Bytes.t] plus the epoch token of
-     the media that owns it. A media may mutate a page in place only
-     while the page's epoch is physically its own current epoch; any
-     other page is shared — with a {!fork} sibling or a pre-fork
-     ancestor image — and the first write copies it. {!fork} is
-     therefore O(pages-in-table): copy the table, hand BOTH sides fresh
-     epoch tokens (every pre-fork page becomes shared), and let
-     subsequent writes diverge page by page. Shared pages are replaced,
-     never mutated, so a fork can be handed to another domain while the
-     parent keeps writing — the crash sweep's fork engine does exactly
-     that.
-
-     Compared to the PR 3 sector-granular table this also removes the
-     String.sub-per-sector allocation from every write: steady-state
-     writes blit into an owned page and allocate nothing, which benefits
-     every live replay — the pair sweep's full replays most of all. *)
+  (* Page-granular store. Sectors group into pages of [page_sectors],
+     each a flat [Bytes.t]; steady-state writes blit into an existing
+     page and allocate nothing. A root image owns every page in its
+     table. An {!overlay} owns only the pages it has written: the first
+     write to any other page copies it up from the base (or starts it
+     zeroed), and everything else reads through to the live base. *)
 
   let page_sectors = 8
-
-  type page = { data : Bytes.t; epoch : unit ref }
 
   type t = {
     sector_size : int;
     capacity_sectors : int;
-    pages : (int, page) Hashtbl.t;
-    mutable epoch : unit ref;
-        (* pages stamped with this exact token are exclusively ours *)
+    pages : (int, Bytes.t) Hashtbl.t;
     mutable extent : int;
     base : t option;
         (* an overlay reads through to [base] where it has no page of
@@ -85,7 +70,6 @@ module Media = struct
       sector_size;
       capacity_sectors;
       pages = Hashtbl.create 1024;
-      epoch = ref ();
       extent = 0;
       base = None;
     }
@@ -95,19 +79,9 @@ module Media = struct
       sector_size = base.sector_size;
       capacity_sectors = base.capacity_sectors;
       pages = Hashtbl.create 64;
-      epoch = ref ();
       extent = base.extent;
       base = Some base;
     }
-
-  let fork t =
-    if t.base <> None then
-      invalid_arg "Media.fork: fork a root image, not an overlay";
-    let child = { t with pages = Hashtbl.copy t.pages; epoch = ref () } in
-    (* the parent's own epoch is retired too: every pre-fork page is now
-       shared with the child, so the parent must also copy-on-write *)
-    t.epoch <- ref ();
-    child
 
   let sector_size t = t.sector_size
   let capacity_sectors t = t.capacity_sectors
@@ -128,32 +102,25 @@ module Media = struct
       let off = s mod page_sectors in
       let n = min (page_sectors - off) (sectors - !i) in
       (match find_page t pidx with
-      | Some p -> Bytes.blit p.data (off * ss) buf (!i * ss) (n * ss)
+      | Some p -> Bytes.blit p (off * ss) buf (!i * ss) (n * ss)
       | None -> ());
       i := !i + n
     done;
     Bytes.unsafe_to_string buf
 
-  (* The page [pidx] as in-place-writable bytes: an owned page directly;
-     a shared or read-through page via copy-up (read-modify-write at
-     page granularity); an absent page as zeroes. *)
+  (* The page [pidx] as in-place-writable bytes: an own page directly;
+     a read-through page via copy-up (read-modify-write at page
+     granularity); an absent page as zeroes. *)
   let writable_page t pidx =
     match Hashtbl.find_opt t.pages pidx with
-    | Some p when p.epoch == t.epoch -> p.data
-    | Some p ->
-        let data = Bytes.copy p.data in
-        Hashtbl.replace t.pages pidx { data; epoch = t.epoch };
-        data
+    | Some data -> data
     | None ->
         let data =
-          match t.base with
-          | Some base -> (
-              match find_page base pidx with
-              | Some p -> Bytes.copy p.data
-              | None -> Bytes.make (page_sectors * t.sector_size) '\000')
+          match Option.bind t.base (fun base -> find_page base pidx) with
+          | Some p -> Bytes.copy p
           | None -> Bytes.make (page_sectors * t.sector_size) '\000'
         in
-        Hashtbl.replace t.pages pidx { data; epoch = t.epoch };
+        Hashtbl.replace t.pages pidx data;
         data
 
   let write_sectors t ~lba ~data ~count =

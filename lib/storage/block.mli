@@ -66,21 +66,15 @@ val sectors_of_bytes : t -> int -> int
 
 module Media : sig
   (** Non-volatile sector store shared by the device implementations.
-
-      Since PR 8 the store is page-granular copy-on-write: sectors group
-      into pages of {!page_sectors}, each page carries the epoch token
-      of the media that owns it, and a write mutates a page in place
-      only when the writer owns it — otherwise the page is shared (with
-      a {!fork} sibling or an {!overlay} base) and is copied first.
-      Steady-state writes into owned pages allocate nothing. *)
+      Sectors group into pages of {!page_sectors}; writes into an
+      existing page allocate nothing. *)
 
   type device := t
   type t
 
   val page_sectors : int
-  (** Sectors per copy-on-write page (8 — 4 KiB at 512-byte sectors):
-      the copy granularity of {!fork} divergence and of read-throughs
-      materialised by {!overlay} writes. *)
+  (** Sectors per page (8 — 4 KiB at 512-byte sectors): the copy
+      granularity of read-throughs materialised by {!overlay} writes. *)
 
   val create : sector_size:int -> capacity_sectors:int -> t
   val sector_size : t -> int
@@ -110,17 +104,6 @@ module Media : sig
       it sees later writes to the base where it has not diverged. The
       crash-surface sweeps layer per-crash-point deltas over one
       evolving base image with this. *)
-
-  val fork : t -> t
-  (** An O(pages) snapshot fork: the child shares every current page
-      with the parent, and {e both} sides copy a shared page on first
-      write, so parent and child diverge independently from the fork
-      point — unlike {!overlay}, the child never sees post-fork parent
-      writes. Because shared pages are replaced rather than mutated, a
-      fork may be handed to a {!Harness.Parallel} worker domain while
-      the parent keeps evolving; the fork-based crash sweep snapshots
-      its cursor this way at every chunk boundary. Raises
-      [Invalid_argument] on an overlay: fork the root image. *)
 
   val check_range : device -> lba:int -> sectors:int -> unit
   (** Asserts the range lies within the device. *)

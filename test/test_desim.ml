@@ -84,26 +84,28 @@ let queue_peek_and_length () =
   Alcotest.(check int) "peek time" 42 (Time.to_ns (Event_queue.min_time q));
   Alcotest.(check int) "peek does not pop" 1 (Event_queue.length q)
 
-(* Deliberate coverage of the deprecated conveniences: they must stay
-   functional (and ordered) until removed, even though new callers get a
-   deprecation alert. *)
-let queue_deprecated_conveniences () =
+(* The three behaviours callers rely on, through the allocation-free
+   API: an empty queue reports empty, a peek does not pop, and events at
+   one instant pop in insertion order. *)
+let queue_empty_peek_fifo () =
   let q = Event_queue.create () in
-  Alcotest.(check (option reject)) "peek empty" None
-    (Option.map ignore (Event_queue.peek_time q));
-  Alcotest.(check bool) "pop empty" true (Event_queue.pop q = None);
+  Alcotest.(check bool) "empty" true (Event_queue.is_empty q);
+  Alcotest.(check bool) "drain empty" false
+    (Event_queue.drain_one q ~f:(fun _ _ -> Alcotest.fail "drained empty"));
   Event_queue.add q ~time:(Time.of_ns 7) "a";
   Event_queue.add q ~time:(Time.of_ns 7) "b";
-  (match Event_queue.peek_time q with
-  | Some t -> Alcotest.(check int) "peek time" 7 (Time.to_ns t)
-  | None -> Alcotest.fail "expected event");
-  (match Event_queue.pop q with
-  | Some (t, v) ->
-      Alcotest.(check int) "pop time" 7 (Time.to_ns t);
-      Alcotest.(check string) "pop fifo" "a" v
-  | None -> Alcotest.fail "expected event");
-  Alcotest.(check int) "one left" 1 (Event_queue.length q)
-[@@alert "-deprecated"]
+  Alcotest.(check int) "peek time" 7 (Time.to_ns (Event_queue.min_time q));
+  Alcotest.(check int) "peek does not pop" 2 (Event_queue.length q);
+  let popped = ref [] in
+  let pop () =
+    Event_queue.drain_one q ~f:(fun t v -> popped := (Time.to_ns t, v) :: !popped)
+  in
+  Alcotest.(check bool) "pop" true (pop ());
+  Alcotest.(check (list (pair int string))) "pop fifo" [ (7, "a") ] !popped;
+  Alcotest.(check int) "one left" 1 (Event_queue.length q);
+  Alcotest.(check bool) "pop" true (pop ());
+  Alcotest.(check (list (pair int string))) "then b" [ (7, "b"); (7, "a") ] !popped;
+  Alcotest.(check bool) "empty again" true (Event_queue.is_empty q)
 
 let queue_growth () =
   let q = Event_queue.create () in
@@ -973,8 +975,7 @@ let suites =
         case "pops in time order" queue_ordering;
         case "same-time events are FIFO" queue_fifo_same_time;
         case "peek and length" queue_peek_and_length;
-        case "deprecated conveniences still function"
-          queue_deprecated_conveniences;
+        case "empty, peek and same-instant fifo" queue_empty_peek_fifo;
         case "growth beyond initial capacity" queue_growth;
         case "far-future events via overflow" queue_far_future_overflow;
         case "monotone-add contract enforced" queue_monotone_contract;

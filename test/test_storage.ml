@@ -60,107 +60,105 @@ let media_torn_prefix_prop =
       in
       scan 0 false)
 
-(* -- Media copy-on-write fork (PR 8) ---------------------------------- *)
+(* -- Media overlays ------------------------------------------------- *)
 
-let media_fork_isolation () =
-  let m = Storage.Block.Media.create ~sector_size:sector ~capacity_sectors:64 in
-  Storage.Block.Media.write m ~lba:3 ~data:(data_of 'p' 2);
-  let child = Storage.Block.Media.fork m in
-  (* Pre-fork state is visible on both sides... *)
-  Alcotest.(check string) "child sees pre-fork" (data_of 'p' 2)
-    (Storage.Block.Media.read child ~lba:3 ~sectors:2);
-  (* ...and post-fork writes stay on their own side, including writes
-     landing inside the same (shared) page. *)
-  Storage.Block.Media.write m ~lba:4 ~data:(data_of 'P' 1);
-  Storage.Block.Media.write child ~lba:3 ~data:(data_of 'c' 1);
-  Alcotest.(check string) "parent diverged" (data_of 'p' 1 ^ data_of 'P' 1)
-    (Storage.Block.Media.read m ~lba:3 ~sectors:2);
-  Alcotest.(check string) "child diverged" (data_of 'c' 1 ^ data_of 'p' 1)
-    (Storage.Block.Media.read child ~lba:3 ~sectors:2);
-  (* A second fork of the parent sees the parent's divergence only. *)
-  let child2 = Storage.Block.Media.fork m in
-  Alcotest.(check string) "second fork tracks parent" (data_of 'p' 1 ^ data_of 'P' 1)
-    (Storage.Block.Media.read child2 ~lba:3 ~sectors:2)
-
-let media_fork_rejects_overlay () =
-  let m = Storage.Block.Media.create ~sector_size:sector ~capacity_sectors:64 in
-  let ov = Storage.Block.Media.overlay m in
-  Alcotest.check_raises "overlay fork rejected"
-    (Invalid_argument "Media.fork: fork a root image, not an overlay")
-    (fun () -> ignore (Storage.Block.Media.fork ov))
-
-let media_overlay_over_fork () =
+let media_overlay_stays_live () =
   let m = Storage.Block.Media.create ~sector_size:sector ~capacity_sectors:64 in
   Storage.Block.Media.write m ~lba:0 ~data:(data_of 'a' 1);
-  let child = Storage.Block.Media.fork m in
-  let ov = Storage.Block.Media.overlay child in
+  let ov = Storage.Block.Media.overlay m in
   Storage.Block.Media.write ov ~lba:0 ~data:(data_of 'o' 1);
   Storage.Block.Media.write ov ~lba:9 ~data:(data_of 'O' 1);
-  (* The overlay captured its writes; the fork underneath is untouched
-     and still isolated from the original. *)
+  (* The overlay captured its writes; the image underneath is untouched. *)
   Alcotest.(check string) "overlay write wins" (data_of 'o' 1)
     (Storage.Block.Media.read ov ~lba:0 ~sectors:1);
-  Alcotest.(check string) "fork untouched" (data_of 'a' 1)
-    (Storage.Block.Media.read child ~lba:0 ~sectors:1);
-  Alcotest.(check string) "fork lba 9 untouched" (String.make sector '\000')
-    (Storage.Block.Media.read child ~lba:9 ~sectors:1);
-  (* Post-overlay writes to the fork show through where the overlay has
-     not diverged — the overlay is a live view, exactly as over a
-     plain image. *)
-  Storage.Block.Media.write child ~lba:20 ~data:(data_of 'n' 1);
+  Alcotest.(check string) "base untouched" (data_of 'a' 1)
+    (Storage.Block.Media.read m ~lba:0 ~sectors:1);
+  Alcotest.(check string) "base lba 9 untouched" (String.make sector '\000')
+    (Storage.Block.Media.read m ~lba:9 ~sectors:1);
+  (* Later writes to the base show through where the overlay has not
+     diverged — the overlay is a live view. *)
+  Storage.Block.Media.write m ~lba:20 ~data:(data_of 'n' 1);
   Alcotest.(check string) "overlay reads through" (data_of 'n' 1)
     (Storage.Block.Media.read ov ~lba:20 ~sectors:1)
 
-(* Model check of the COW page store: a family of images produced by
-   random interleaved writes and forks must each read back exactly like
-   an isolated sector-map reference copied at the same fork points —
-   any page-sharing bug (a write leaking through a shared page, a fork
-   missing state, an overwrite resurrecting stale bytes) shows up as a
-   sector mismatch. Writes use 1-8 sectors at arbitrary alignment, so
-   they split across the 8-sector COW pages in every way. *)
-let media_fork_model_prop =
-  let cap = 64 in
-  prop "fork family matches sector-map reference" ~count:120
-    QCheck2.Gen.(small_list (triple (int_bound 2) small_nat small_nat))
+(* Model check of the page store and its overlays: random 1-8-sector
+   writes and torn-prefix writes at any alignment, interleaved across a
+   root image and up to 5 live overlays of it, must each read back like
+   a sector-map reference. An overlay diverges a whole page at its first
+   write there (copy-up), and reads every other page through to the
+   root's current contents, so root writes made after the overlay was
+   taken must show through exactly where the overlay has not diverged.
+   A write leaking into the wrong image, a stale copy-up or a missed
+   read-through shows up as a sector mismatch. *)
+type image_model = {
+  media : Storage.Block.Media.t;
+  sectors : (int, string) Hashtbl.t;  (* own sectors written so far *)
+  pages : (int, unit) Hashtbl.t;  (* pages an overlay has diverged *)
+  extent : int ref;
+}
+
+let media_overlay_model_prop =
+  let cap = 64 and ps = Storage.Block.Media.page_sectors in
+  let zero = String.make sector '\000' in
+  let image media extent =
+    { media; sectors = Hashtbl.create 16; pages = Hashtbl.create 8; extent = ref extent }
+  in
+  prop "overlay family matches sector-map reference" ~count:120
+    QCheck2.Gen.(small_list (quad (int_bound 3) small_nat small_nat small_nat))
     (fun ops ->
-      let images = ref [| Storage.Block.Media.create ~sector_size:sector ~capacity_sectors:cap |] in
-      let refs = ref [| Hashtbl.create 64 |] in
-      let ref_write tbl ~lba ~data =
-        for s = 0 to (String.length data / sector) - 1 do
-          Hashtbl.replace tbl (lba + s) (String.sub data (s * sector) sector)
-        done
+      let root =
+        image (Storage.Block.Media.create ~sector_size:sector ~capacity_sectors:cap) 0
       in
-      let ref_read tbl ~lba ~sectors =
-        String.concat ""
-          (List.init sectors (fun s ->
-               Option.value
-                 (Hashtbl.find_opt tbl (lba + s))
-                 ~default:(String.make sector '\000')))
+      let images = ref [| root |] in
+      let root_sector s = Option.value (Hashtbl.find_opt root.sectors s) ~default:zero in
+      (* The root diverges no pages: it reads its own sectors. *)
+      let expected im s =
+        if Hashtbl.mem im.pages (s / ps) then Hashtbl.find im.sectors s
+        else root_sector s
+      in
+      (* The reference write: an overlay copies a page up from the root
+         the first time it writes there. *)
+      let put im s v =
+        let page = s / ps in
+        if im != root && not (Hashtbl.mem im.pages page) then begin
+          Hashtbl.replace im.pages page ();
+          for t = page * ps to ((page + 1) * ps) - 1 do
+            Hashtbl.replace im.sectors t (root_sector t)
+          done
+        end;
+        Hashtbl.replace im.sectors s v
       in
       List.iter
-        (fun (op, a, b) ->
+        (fun (op, a, b, c) ->
           let n = Array.length !images in
-          let i = a mod n in
-          if op = 1 && n < 6 then begin
+          let im = !images.(a mod n) in
+          let sectors = 1 + (b mod 8) in
+          let lba = c mod (cap - sectors) in
+          let data = data_of (Char.chr (Char.code 'a' + (b / 8 mod 26))) sectors in
+          let persisted = if op = 1 then a mod (sectors + 1) else sectors in
+          if op = 0 && n <= 5 then
             images :=
-              Array.append !images [| Storage.Block.Media.fork !images.(i) |];
-            refs := Array.append !refs [| Hashtbl.copy !refs.(i) |]
-          end
+              Array.append !images
+                [| image (Storage.Block.Media.overlay root.media) !(root.extent) |]
           else begin
-            (* Write 1-8 sectors of a salted fill char at any alignment. *)
-            let sectors = 1 + (b mod 8) in
-            let lba = a mod (cap - sectors) in
-            let data = data_of (Char.chr (Char.code 'a' + (b mod 26))) sectors in
-            Storage.Block.Media.write !images.(i) ~lba ~data;
-            ref_write !refs.(i) ~lba ~data
+            if op = 1 then
+              Storage.Block.Media.write_prefix im.media ~lba ~data ~sectors:persisted
+            else Storage.Block.Media.write im.media ~lba ~data;
+            for s = 0 to persisted - 1 do
+              put im (lba + s) (String.sub data (s * sector) sector)
+            done;
+            if persisted > 0 then im.extent := max !(im.extent) (lba + persisted)
           end)
         ops;
       Array.iteri
-        (fun i m ->
-          let got = Storage.Block.Media.read m ~lba:0 ~sectors:cap in
-          let want = ref_read !refs.(i) ~lba:0 ~sectors:cap in
+        (fun k im ->
+          let got = Storage.Block.Media.read im.media ~lba:0 ~sectors:cap in
+          let want = String.concat "" (List.init cap (expected im)) in
           if not (String.equal got want) then
-            QCheck2.Test.fail_reportf "image %d diverged from reference" i)
+            QCheck2.Test.fail_reportf "image %d diverged from reference" k;
+          if Storage.Block.Media.extent im.media <> !(im.extent) then
+            QCheck2.Test.fail_reportf "image %d extent %d, want %d" k
+              (Storage.Block.Media.extent im.media) !(im.extent))
         !images;
       true)
 
@@ -524,11 +522,9 @@ let suites =
         case "unwritten sectors read as zeros" media_reads_zero;
         case "write/read roundtrip and extent" media_roundtrip;
         case "overwrite is sector granular" media_overwrite;
-        case "fork isolates both directions" media_fork_isolation;
-        case "fork of an overlay is rejected" media_fork_rejects_overlay;
-        case "overlay over a fork stays live" media_overlay_over_fork;
+        case "overlay over a root image stays live" media_overlay_stays_live;
         media_torn_prefix_prop;
-        media_fork_model_prop;
+        media_overlay_model_prop;
       ] );
     ( "storage.block",
       [

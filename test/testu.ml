@@ -4,8 +4,32 @@ open Desim
 
 let case name f = Alcotest.test_case name `Quick f
 
+(* Every property draws from one pinned seed, so each run of the suite
+   checks the same cases. [QCHECK_SEED=<n>] replaces it (the CI soak
+   runs the suite under random seeds this way); a failing property
+   prints the seed that reproduces it. Each property gets its own state
+   made from the seed, so its cases do not depend on test order. *)
+let qcheck_seed =
+  match Sys.getenv_opt "QCHECK_SEED" with
+  | None -> 2013
+  | Some s -> (
+      match int_of_string_opt s with
+      | Some n -> n
+      | None -> failwith ("QCHECK_SEED is not an integer: " ^ s))
+
 let prop name ?(count = 200) gen law =
-  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count gen law)
+  let name, speed, run =
+    QCheck_alcotest.to_alcotest
+      ~rand:(Random.State.make [| qcheck_seed |])
+      (QCheck2.Test.make ~name ~count gen law)
+  in
+  ( name,
+    speed,
+    fun () ->
+      try run ()
+      with e ->
+        Printf.printf "%s failed under QCHECK_SEED=%d\n%!" name qcheck_seed;
+        raise e )
 
 (* Run a body inside a process in a fresh simulation; returns its result
    once the event queue drains. *)
