@@ -303,6 +303,15 @@ let with_policy config policy =
 
 (* ---- sweep wall-clock at jobs=1 vs jobs=N -------------------------- *)
 
+(* The rapilog-replicated preset (RapiLog-R): the quorum cluster with one
+   replica, committing on its ack. *)
+let replicated (config : Scenario.config) =
+  {
+    config with
+    Scenario.mode = Scenario.Rapilog_quorum;
+    quorum = { config.Scenario.quorum with Net.Quorum.replicas = 1; quorum = 1 };
+  }
+
 let sweep_grid ~quick =
   let config =
     {
@@ -313,18 +322,18 @@ let sweep_grid ~quick =
     }
   in
   let clients = if quick then [ 1; 4 ] else [ 1; 4; 16 ] in
-  let modes =
+  let with_mode mode c = { c with Scenario.mode } in
+  let cells =
     if quick then
       [
-        Scenario.Native_sync; Scenario.Rapilog; Scenario.Rapilog_replicated;
-        Scenario.Rapilog_sharded;
+        with_mode Scenario.Native_sync; with_mode Scenario.Rapilog; replicated;
+        with_mode Scenario.Rapilog_sharded;
       ]
-    else Scenario.all_modes
+    else List.map with_mode Scenario.all_modes @ [ replicated ]
   in
   let classic =
     List.concat_map
-      (fun n ->
-        List.map (fun mode -> { config with Scenario.mode; clients = n }) modes)
+      (fun n -> List.map (fun cell -> cell { config with Scenario.clients = n }) cells)
       clients
   in
   (* One representative per new axis, so the parallel-identity gate
@@ -542,10 +551,8 @@ let metrics_cells ~quick =
     ("native-sync/32", { base with Scenario.mode = Scenario.Native_sync; clients = 32 });
     ("rapilog/1", { base with Scenario.mode = Scenario.Rapilog; clients = 1 });
     ("rapilog/32", { base with Scenario.mode = Scenario.Rapilog; clients = 32 });
-    ( "rapilog-replicated/1",
-      { base with Scenario.mode = Scenario.Rapilog_replicated; clients = 1 } );
-    ( "rapilog-replicated/32",
-      { base with Scenario.mode = Scenario.Rapilog_replicated; clients = 32 } );
+    ("rapilog-replicated/1", replicated { base with Scenario.clients = 1 });
+    ("rapilog-replicated/32", replicated { base with Scenario.clients = 32 });
     ( "rapilog-nvme/16",
       { base with Scenario.mode = Scenario.Rapilog; device = nvme_device; clients = 16 } );
     ( "native-sync-nvme-adaptive/16",
@@ -843,9 +850,10 @@ let () =
         require "wal.force_write";
         (match config.Scenario.mode with
         | Scenario.Rapilog -> require "logger.admission"
-        | Scenario.Rapilog_replicated ->
+        | Scenario.Rapilog_quorum ->
             require "logger.admission";
             require "logger.replicate";
+            require "logger.quorum_wait";
             require "net.link_delay"
         | _ -> ()))
       metrics_rows;

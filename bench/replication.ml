@@ -15,6 +15,10 @@
      the three ack policies (local, replica-ack, async-replica) as the
      network RTT grows, on both the 7200 rpm disk and the SSD.
 
+   RapiLog-R runs on the one replication runtime, Net.Quorum: replica-ack
+   is the rapilog-replicated preset (one replica, k = 1), async-replica
+   the same cluster at k = 0, and local is plain rapilog.
+
    Replicated runs must stay deterministic: the machine-loss sweep is
    bit-identical across {!Harness.Parallel} jobs, and a steady run with
    {!Desim.Metrics} recording on is bit-identical to one with it off.
@@ -63,20 +67,6 @@ let base_scenario ~quick =
     duration = (if quick then Time.ms 10 else Time.ms 50);
   }
 
-(* One-way links shaped from a round-trip time: half the RTT each way,
-   default 10 GbE serialisation, no drops (replica-ack has no
-   retransmit; a lossy link is an [Async_replica]-only configuration). *)
-let net_of_rtt_us rtt_us policy =
-  let one_way = { Net.Link.default with Net.Link.latency = Net.Link.Constant (Time.ns (rtt_us * 1000 / 2)) } in
-  { Net.Replication.policy; data_link = one_way; ack_link = one_way }
-
-let replicated_scenario ~quick ~policy ~rtt_us =
-  {
-    (base_scenario ~quick) with
-    Scenario.mode = Scenario.Rapilog_replicated;
-    net = net_of_rtt_us rtt_us policy;
-  }
-
 let surface_config ~quick scenario =
   {
     (Crash_surface.default scenario) with
@@ -94,10 +84,10 @@ let autostride config ~target =
   in
   (total, max 1 (total / target))
 
-let sweep_json (r : Crash_surface.result) =
+let sweep_json ~label (r : Crash_surface.result) =
   Obj
     [
-      ("mode", Str (Scenario.mode_name r.Crash_surface.r_mode));
+      ("config", Str label);
       ("stride", Num (float_of_int r.Crash_surface.r_stride));
       ("total_boundaries", Num (float_of_int r.Crash_surface.r_total_boundaries));
       ("explored", Num (float_of_int r.Crash_surface.r_explored));
@@ -126,6 +116,19 @@ let one_way_us us =
     Net.Link.default with
     Net.Link.latency = Net.Link.Constant (Time.ns (us * 1000));
   }
+
+(* RapiLog-R's ack policies by name: how many replica acks a commit
+   waits for, [None] for local rapilog with no replica at all. *)
+let policies = [ ("local", None); ("replica-ack", Some 1); ("async-replica", Some 0) ]
+
+(* One replica behind a constant-latency link of half the RTT each way,
+   default 10 GbE serialisation, no drops. *)
+let replicated_scenario ~quick ~ack ~rtt_us =
+  match ack with
+  | None -> { (base_scenario ~quick) with Scenario.mode = Scenario.Rapilog }
+  | Some k ->
+      quorum_scenario ~quick ~replicas:1 ~quorum:k
+        ~links:[ one_way_us (rtt_us / 2) ]
 
 let pair_sweep_json (r : Crash_surface.pair_result) =
   let non_quorate =
@@ -484,12 +487,11 @@ let () =
     local.Crash_surface.r_contract_breaks local.Crash_surface.r_lost_total
     local_s;
 
-  (* Replicated, replica-ack: every explored boundary must uphold the
-     contract. Full replay per point — the sweep actually runs the
-     network, the replica and the merged recovery. *)
-  let repl_scenario =
-    replicated_scenario ~quick ~policy:Net.Replication.Replica_ack ~rtt_us:50
-  in
+  (* Replicated, replica-ack (the rapilog-replicated preset): every
+     explored boundary must uphold the contract. Full replay per point —
+     the sweep actually runs the network, the replica and the merged
+     recovery. *)
+  let repl_scenario = replicated_scenario ~quick ~ack:(Some 1) ~rtt_us:50 in
   let repl_config = surface_config ~quick repl_scenario in
   let repl_boundaries, repl_stride =
     autostride repl_config ~target:(if quick then 24 else 400)
@@ -518,39 +520,40 @@ let () =
       ("ssd", Scenario.Flash Storage.Ssd.default);
     ]
   in
-  let policies = Net.Replication.all_policies in
-  let cells =
+  (* One client commits alone; four form a group-commit convoy. *)
+  let client_counts = [ 1; 4 ] in
+  let keys =
     List.concat_map
-      (fun (_, device) ->
+      (fun (device_name, device) ->
         List.concat_map
-          (fun rtt_us ->
-            List.map
-              (fun policy ->
-                { (replicated_scenario ~quick ~policy ~rtt_us) with Scenario.device })
-              policies)
-          rtts_us)
+          (fun clients ->
+            List.concat_map
+              (fun rtt_us ->
+                List.map
+                  (fun (policy, ack) ->
+                    ( (device_name, clients, rtt_us, policy),
+                      {
+                        (replicated_scenario ~quick ~ack ~rtt_us) with
+                        Scenario.device;
+                        clients;
+                      } ))
+                  policies)
+              rtts_us)
+          client_counts)
       devices
   in
   let t2 = Unix.gettimeofday () in
-  let results = Experiment.run_steady_batch ~jobs cells in
+  let results = Experiment.run_steady_batch ~jobs (List.map snd keys) in
   let fig12_s = Unix.gettimeofday () -. t2 in
-  let tagged =
-    List.map2
-      (fun config r -> (config, r))
-      cells results
-  in
-  let cell_json ((config : Scenario.config), (r : Experiment.steady_result)) =
+  let tagged = List.combine (List.map fst keys) results in
+  let cell_json
+      ((device_name, clients, rtt_us, policy), (r : Experiment.steady_result)) =
     Obj
       [
-        ("device", Str (Scenario.device_name config.Scenario.device));
-        ( "rtt_us",
-          Num
-            (float_of_int
-               (match config.Scenario.net.Net.Replication.data_link.Net.Link.latency with
-               | Net.Link.Constant one_way -> 2 * Time.span_to_ns one_way / 1000
-               | _ -> -1)) );
-        ( "policy",
-          Str (Net.Replication.policy_name config.Scenario.net.Net.Replication.policy) );
+        ("device", Str device_name);
+        ("clients", Num (float_of_int clients));
+        ("rtt_us", Num (float_of_int rtt_us));
+        ("policy", Str policy);
         ("throughput_txn_s", Num r.Experiment.throughput);
         ("p50_us", Num r.Experiment.latency_p50_us);
         ("p99_us", Num r.Experiment.latency_p99_us);
@@ -558,18 +561,15 @@ let () =
       ]
   in
   Printf.printf "replication: fig12 grid: %d cells (%.2fs)\n%!"
-    (List.length cells) fig12_s;
+    (List.length tagged) fig12_s;
 
   (* -- determinism: metrics recording must not perturb a replicated run *)
-  let det_config =
-    replicated_scenario ~quick ~policy:Net.Replication.Replica_ack ~rtt_us:50
-  in
-  let plain = Experiment.run_steady det_config in
-  let with_metrics, registry = Experiment.run_steady_metrics det_config in
+  let plain = Experiment.run_steady repl_scenario in
+  let with_metrics, registry = Experiment.run_steady_metrics repl_scenario in
   let metrics_identical = plain = with_metrics in
   let metric_names = Metrics.names registry in
   let required_metrics =
-    [ "logger.replicate"; "logger.replica_ack_wait"; "net.link_delay"; "replica.drain" ]
+    [ "logger.replicate"; "logger.quorum_wait"; "net.link_delay"; "replica.drain" ]
   in
   let missing_metrics =
     List.filter (fun n -> not (List.mem n metric_names)) required_metrics
@@ -589,9 +589,9 @@ let () =
         ( "tab7_machine_loss",
           Obj
             [
-              ("local", sweep_json local);
+              ("local", sweep_json ~label:"rapilog" local);
               ("local_seconds", Num local_s);
-              ("replicated", sweep_json replicated);
+              ("replicated", sweep_json ~label:"rapilog-replicated" replicated);
               ("replicated_seconds", Num replicated_s);
               ("replicated_parallel_bit_identical", Bool sweep_identical);
             ] );
@@ -599,8 +599,10 @@ let () =
           Obj
             [
               ("rtts_us", Arr (List.map (fun r -> Num (float_of_int r)) rtts_us));
-              ("policies", Arr (List.map (fun p -> Str (Net.Replication.policy_name p)) policies));
+              ("policies", Arr (List.map (fun (p, _) -> Str p) policies));
               ("devices", Arr (List.map (fun (n, _) -> Str n) devices));
+              ( "clients",
+                Arr (List.map (fun c -> Num (float_of_int c)) client_counts) );
               ("seconds", Num fig12_s);
               ("cells", Arr (List.map cell_json tagged));
             ] );
@@ -637,10 +639,14 @@ let () =
       fail
         (Printf.sprintf "replicated sweep explored only %d points"
            replicated.Crash_surface.r_explored);
-    if local.Crash_surface.r_lost_total < 1 then
+    if local.Crash_surface.r_contract_breaks <> local.Crash_surface.r_explored
+    then
       fail
-        "local rapilog lost nothing to machine loss (teeth are missing: the \
-         sweep cannot see the failure it claims to cover)";
+        (Printf.sprintf
+           "local rapilog broke its contract at %d of %d machine-loss \
+            boundaries (want every one: the sweep must see the failure it \
+            claims to cover)"
+           local.Crash_surface.r_contract_breaks local.Crash_surface.r_explored);
     if local.Crash_surface.r_explored < (if quick then 20 else 500) then
       fail
         (Printf.sprintf "local sweep explored only %d points"
@@ -654,44 +660,77 @@ let () =
         (Printf.sprintf "replication spans missing from the registry: %s"
            (String.concat ", " missing_metrics));
     List.iter
-      (fun (config, (r : Experiment.steady_result)) ->
+      (fun ((device_name, clients, rtt_us, policy), (r : Experiment.steady_result)) ->
         if r.Experiment.committed_in_window <= 0 then
           fail
-            (Printf.sprintf "fig12 cell committed nothing (%s, %s)"
-               (Scenario.device_name config.Scenario.device)
-               (Net.Replication.policy_name
-                  config.Scenario.net.Net.Replication.policy)))
+            (Printf.sprintf
+               "fig12 cell committed nothing (%s, %d clients, %d us, %s)"
+               device_name clients rtt_us policy))
       tagged;
-    (* Physics: at the largest RTT, a replica-ack commit pays the round
-       trip; the local policy does not. *)
-    let p50_of device_name policy rtt_us =
-      let rec find = function
-        | [] -> nan
-        | ((config : Scenario.config), (r : Experiment.steady_result)) :: rest ->
-            let rtt =
-              match config.Scenario.net.Net.Replication.data_link.Net.Link.latency with
-              | Net.Link.Constant one_way -> 2 * Time.span_to_ns one_way / 1000
-              | _ -> -1
-            in
-            if
-              Scenario.device_name config.Scenario.device = device_name
-              && config.Scenario.net.Net.Replication.policy = policy
-              && rtt = rtt_us
-            then r.Experiment.latency_p50_us
-            else find rest
-      in
-      find tagged
+    (* What the fig12 table reports of a cell. *)
+    let shape (r : Experiment.steady_result) =
+      ( r.Experiment.throughput,
+        r.Experiment.latency_p50_us,
+        r.Experiment.latency_p99_us,
+        r.Experiment.committed_in_window )
     in
-    let top_rtt = List.fold_left max 0 rtts_us in
-    let ssd_name = Scenario.device_name (Scenario.Flash Storage.Ssd.default) in
-    let local_p50 = p50_of ssd_name Net.Replication.Local top_rtt in
-    let ack_p50 = p50_of ssd_name Net.Replication.Replica_ack top_rtt in
-    if not (ack_p50 > local_p50) then
-      fail
-        (Printf.sprintf
-           "replica-ack p50 (%.0f us) should exceed local p50 (%.0f us) at \
-            %d us RTT"
-           ack_p50 local_p50 top_rtt);
+    let cell device_name clients rtt_us policy =
+      shape (List.assoc (device_name, clients, rtt_us, policy) tagged)
+    in
+    let p50 device_name clients rtt_us policy =
+      let _, p50, _, _ = cell device_name clients rtt_us policy in
+      p50
+    in
+    (* Physics: a lone replica-ack commit pays exactly one round trip
+       over local. Four clients convoy behind the serialised log force —
+       a commit waits out the force in flight, then its own — so they
+       pay between one and two. Local and async-replica do not see the
+       network at all; and RapiLog acks from the buffer, so the device
+       leaves the commit path. *)
+    let base_rtt = List.hd rtts_us in
+    List.iter
+      (fun (device_name, _) ->
+        List.iter
+          (fun clients ->
+            List.iter
+              (fun rtt_us ->
+                let local = p50 device_name clients rtt_us "local" in
+                let ack = p50 device_name clients rtt_us "replica-ack" in
+                let rtt = float_of_int rtt_us in
+                let lo, hi =
+                  if clients = 1 then (local +. rtt, local +. rtt)
+                  else (local +. rtt, local +. (2. *. rtt))
+                in
+                if ack < lo -. 1. || ack > hi +. 1. then
+                  fail
+                    (Printf.sprintf
+                       "%s, %d clients, %d us RTT: replica-ack p50 %.1f us \
+                        outside [%.1f, %.1f] us, local p50 %.1f us plus the \
+                        round trips it must pay (want within 1 us)"
+                       device_name clients rtt_us ack lo hi local);
+                List.iter
+                  (fun policy ->
+                    if
+                      cell device_name clients rtt_us policy
+                      <> cell device_name clients base_rtt policy
+                    then
+                      fail
+                        (Printf.sprintf
+                           "%s, %d clients, %s: result moves with RTT (%d vs \
+                            %d us)"
+                           device_name clients policy rtt_us base_rtt))
+                  [ "local"; "async-replica" ])
+              rtts_us)
+          client_counts)
+      devices;
+    List.iter
+      (fun ((device_name, clients, rtt_us, policy), r) ->
+        if device_name = "hdd" && cell "ssd" clients rtt_us policy <> shape r
+        then
+          fail
+            (Printf.sprintf "fig12 hdd and ssd cells differ (%d clients, %d us, %s)"
+               clients rtt_us policy))
+      tagged;
     match !failures with
     | [] -> print_endline "replication: check OK"
     | msgs ->

@@ -4,7 +4,8 @@
 
    The claims, with teeth:
 
-   - presets: the nine canonical mode configurations re-expressed as
+   - presets: the nine canonical configurations (one per mode, plus
+     rapilog-replicated, the one-replica quorum cluster) re-expressed as
      [Scen.preset] pipelines are digest-identical to the legacy
      hand-rolled records — the DSL is a front door, not a fork.
    - grid: [Scen.Builder.grid] enumerates exactly the cartesian product
@@ -210,7 +211,19 @@ let () =
         let legacy =
           match Scenario.mode_of_name name with
           | Some mode -> { Scenario.default with Scenario.mode }
-          | None -> assert false
+          | None ->
+              (* rapilog-replicated: the one-replica quorum cluster. *)
+              assert (name = "rapilog-replicated");
+              {
+                Scenario.default with
+                Scenario.mode = Scenario.Rapilog_quorum;
+                quorum =
+                  {
+                    Scenario.default.Scenario.quorum with
+                    Net.Quorum.replicas = 1;
+                    quorum = 1;
+                  };
+              }
         in
         let dsl = B.build (Scen.preset name) in
         (name, Scen.digest dsl, Scen.digest legacy))

@@ -79,7 +79,9 @@ let quorum_arg =
     & info [ "quorum" ] ~docv:"K"
         ~doc:
           "Replica acks required to commit in rapilog-quorum mode \
-           (default: a majority of the replicas).")
+           (default: a majority of the replicas). 0 sends to the \
+           replicas without waiting; --replicas 1 --quorum 1 is \
+           RapiLog-R's replica-ack configuration.")
 
 let parse_device s =
   match String.split_on_char ':' s with
@@ -129,8 +131,8 @@ let build_config mode clients seed duration device workload engine buffer_kib ho
     match quorum with Some k -> k | None -> Net.Quorum.majority replicas
   in
   let* () =
-    if quorum_k >= 1 && quorum_k <= replicas then Ok ()
-    else Error "quorum must satisfy 1 <= K <= replicas"
+    if quorum_k >= 0 && quorum_k <= replicas then Ok ()
+    else Error "quorum must satisfy 0 <= K <= replicas"
   in
   Ok
     {
@@ -172,6 +174,10 @@ let or_exit = function
 let print_steady config (r : Experiment.steady_result) =
   Report.section "steady-state run";
   Report.kv "mode" (Scenario.mode_name config.Scenario.mode);
+  if config.Scenario.mode = Scenario.Rapilog_quorum then
+    Report.kvf "replicas / quorum" "%d / %d"
+      config.Scenario.quorum.Net.Quorum.replicas
+      config.Scenario.quorum.Net.Quorum.quorum;
   Report.kv "device" (Scenario.device_name config.Scenario.device);
   Report.kv "engine" config.Scenario.profile.Dbms.Engine_profile.name;
   Report.kvf "clients" "%d" r.Experiment.clients;
@@ -258,15 +264,16 @@ let modes_cmd =
                Scenario.mode_name mode;
                (match Scenario.mode_is_durable mode with
                | `Always -> "survives OS crashes and power cuts"
-               | `Machine_loss_too ->
-                   "survives OS crashes, power cuts and primary machine loss"
                | `Minority_loss_too ->
                    "survives OS crashes, power cuts, partitions, and loss of \
                     the primary plus any minority of replicas"
                | `Os_crash_only -> "survives OS crashes; loses on power cuts"
                | `Never -> "can lose recent commits on any crash");
              ])
-           Scenario.all_modes)
+           Scenario.all_modes);
+    print_endline
+      "rapilog-replicated (RapiLog-R) is rapilog-quorum --replicas 1 \
+       --quorum 1:\nit survives the loss of the whole primary machine."
   in
   Cmd.v (Cmd.info "modes" ~doc:"List configurations and durability promises.")
     Term.(const action $ const ())

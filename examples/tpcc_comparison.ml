@@ -47,7 +47,6 @@ let () =
              string_of_int r.Experiment.physical_log_writes;
              (match Scenario.mode_is_durable mode with
              | `Always -> "yes"
-             | `Machine_loss_too -> "yes + machine loss"
              | `Minority_loss_too -> "yes + minority loss"
              | `Os_crash_only -> "power-unsafe"
              | `Never -> "no");

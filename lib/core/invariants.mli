@@ -13,7 +13,7 @@
       admitted into the ring, and nothing is acknowledged that was not
       admitted (the bound is admitted rather than acknowledged bytes
       because a replicated logger drains entries whose writers are
-      still waiting on the remote ack — see {!Net.Replication});
+      still waiting on the remote acks — see {!Net.Quorum});
     - {b admission closed}: after a power-fail notification, nothing
       further is ever acknowledged. *)
 

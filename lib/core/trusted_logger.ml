@@ -38,10 +38,10 @@ type t = {
   mutable drain_writes : int;
   mutable max_buffered : int;
   mutable stalls : int;
-  (* Replication (RapiLog-R): called at the admission instant with the
+  (* Replication (Net.Quorum): called at the admission instant with the
      1-based admission sequence number; may block the admitting writer
-     (replica-ack policy). [None] = single-machine logger, byte-identical
-     to the pre-replication behaviour. *)
+     until a quorum of replicas acks. [None] = single-machine logger,
+     byte-identical to the pre-replication behaviour. *)
   mutable replicate : (seq:int -> lba:int -> data:string -> unit) option;
   mutable push_seq : int;
   mutable admitted_bytes : int;

@@ -69,10 +69,10 @@ val quiesce : t -> unit
     died). Must run in a process. *)
 
 val set_replication : t -> (seq:int -> lba:int -> data:string -> unit) -> unit
-(** Install the RapiLog-R replication hook (see {!Net.Replication}),
-    called in the admitting writer's process at the instant an entry
-    lands in the trusted ring, with the 1-based admission sequence
-    number. The hook may block (replica-ack policy): the local drain is
+(** Install the replication hook (see {!Net.Quorum}), called in the
+    admitting writer's process at the instant an entry lands in the
+    trusted ring, with the 1-based admission sequence number. The hook
+    may block (until a quorum of replicas acks): the local drain is
     signalled before it runs, and the acknowledgement bookkeeping
     happens only after it returns — and never if power failed in the
     meantime. Raises [Invalid_argument] if a hook is already set. *)

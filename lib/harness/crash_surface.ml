@@ -13,7 +13,7 @@ let all_kinds = [ Os_crash; Power_cut; Power_cut_tight; Machine_loss ]
 (* The single-machine kinds every local mode is sweepable under.
    [Machine_loss] is opt-in: the whole primary vanishing is exactly the
    failure local RapiLog does NOT promise to survive (only the
-   replicated scenario does), so a default sweep would flag expected
+   replicated scenarios do), so a default sweep would flag expected
    losses as breaks. *)
 let default_kinds = [ Os_crash; Power_cut; Power_cut_tight ]
 
@@ -215,9 +215,8 @@ let run_point config kind ~event_index ~at_ns =
          residual energy and all. The guest halts first (nothing executes
          on a dead machine), then the power domain loses every device
          with a zero window — in-flight writes tear right here, before
-         any same-instant completion can fire. Survivors: durable media,
-         and — in the replicated scenario — the replica machine plus
-         whatever was already on the wire to it. *)
+         any same-instant completion can fire. Survivors: durable media
+         and — in the replicated scenarios — the replica machines. *)
       Hypervisor.Vmm.crash_guest built.Scenario.vmm;
       Power.Power_domain.lose built.Scenario.power;
       (* A dead machine is also a dead network endpoint: sever every

@@ -28,8 +28,9 @@
     in-flight writes, the halt just before device death — are actually
     exercised), and {b machine loss} — the whole primary vanishing with
     no residual window at all, the failure that bounds local RapiLog's
-    durability domain and that only the replicated scenario
-    ([Rapilog_replicated], {!Net.Replication}) survives. *)
+    durability domain and that only the replicated scenarios
+    ([Rapilog_quorum], {!Net.Quorum}, from one replica at [k = 1] up)
+    survive. *)
 
 type kind = Os_crash | Power_cut | Power_cut_tight | Machine_loss
 

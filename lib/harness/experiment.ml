@@ -214,7 +214,7 @@ let durability_ok result =
     && result.invariant_violations = 0
   in
   match (Scenario.mode_is_durable result.fmode, result.kind) with
-  | (`Always | `Machine_loss_too | `Minority_loss_too), (Power_cut | Os_crash) ->
+  | (`Always | `Minority_loss_too), (Power_cut | Os_crash) ->
       safe && result.audit.Audit.state_exact
   | `Os_crash_only, Os_crash -> safe && result.audit.Audit.state_exact
   | `Os_crash_only, Power_cut -> result.invariant_violations = 0  (* loss permitted *)

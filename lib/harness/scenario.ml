@@ -4,7 +4,6 @@ type mode =
   | Native_sync
   | Virt_sync
   | Rapilog
-  | Rapilog_replicated
   | Rapilog_quorum
   | Rapilog_sharded
   | Wcache_flush
@@ -15,7 +14,6 @@ let mode_name = function
   | Native_sync -> "native-sync"
   | Virt_sync -> "virt-sync"
   | Rapilog -> "rapilog"
-  | Rapilog_replicated -> "rapilog-replicated"
   | Rapilog_quorum -> "rapilog-quorum"
   | Rapilog_sharded -> "rapilog-sharded"
   | Wcache_flush -> "wcache-flush"
@@ -27,7 +25,6 @@ let all_modes =
     Native_sync;
     Virt_sync;
     Rapilog;
-    Rapilog_replicated;
     Rapilog_quorum;
     Rapilog_sharded;
     Wcache_flush;
@@ -40,7 +37,6 @@ let mode_of_name name =
 
 let mode_is_durable = function
   | Native_sync | Virt_sync | Rapilog | Rapilog_sharded | Wcache_flush -> `Always
-  | Rapilog_replicated -> `Machine_loss_too
   | Rapilog_quorum -> `Minority_loss_too
   | Unsafe_wcache -> `Os_crash_only
   | Async_commit -> `Never
@@ -75,7 +71,6 @@ type config = {
   duration : Time.span;
   seed : int64;
   logger : Rapilog.Trusted_logger.config;
-  net : Net.Replication.config;
   quorum : Net.Quorum.config;
   psu : Power.Psu.config;
   checkpoint_interval : Time.span option;
@@ -101,7 +96,6 @@ let default =
     duration = Time.sec 3;
     seed = 42L;
     logger = Rapilog.Trusted_logger.default_config;
-    net = Net.Replication.default;
     quorum = Net.Quorum.default;
     psu = Power.Psu.default;
     checkpoint_interval = Some Time.(sec 1);
@@ -132,7 +126,6 @@ type built = {
   data_members : Storage.Block.t array;
   data_chunk_sectors : int;
   logger : Rapilog.Trusted_logger.t option;
-  replication : Net.Replication.t option;
   quorum : Net.Quorum.t option;
   shard : Shard.Tier.t option;
   generator : generator;
@@ -180,7 +173,7 @@ let build config =
   let vmm_config =
     match config.mode with
     | Native_sync | Wcache_flush | Unsafe_wcache | Async_commit -> Hypervisor.Vmm.native
-    | Virt_sync | Rapilog | Rapilog_replicated | Rapilog_quorum | Rapilog_sharded ->
+    | Virt_sync | Rapilog | Rapilog_quorum | Rapilog_sharded ->
         Hypervisor.Vmm.default_sel4
   in
   let vmm = Hypervisor.Vmm.create sim vmm_config in
@@ -218,14 +211,14 @@ let build config =
   let virtio_of device =
     Hypervisor.Vmm.attach_virtio_disk vmm (Hypervisor.Virtio_blk.backend_of_block device)
   in
-  let log_attached, data_attached, logger, replication, quorum, shard_tier =
+  let log_attached, data_attached, logger, quorum, shard_tier =
     match config.mode with
     | Native_sync | Async_commit ->
         Power.Power_domain.register_device power log_physical;
-        (log_physical, data_physical, None, None, None, None)
+        (log_physical, data_physical, None, None, None)
     | Virt_sync ->
         Power.Power_domain.register_device power log_physical;
-        (virtio_of log_physical, virtio_of data_physical, None, None, None, None)
+        (virtio_of log_physical, virtio_of data_physical, None, None, None)
     | Rapilog_sharded ->
         (* A multi-tenant logger tier shares the machine with the
            benchmark's embedded DBMS: shard 0's first device doubles as
@@ -251,21 +244,11 @@ let build config =
           virtio_of data_physical,
           Some (Shard.Tier.shard_logger tier 0),
           None,
-          None,
           Some tier )
-    | Rapilog | Rapilog_replicated | Rapilog_quorum ->
+    | Rapilog | Rapilog_quorum ->
         (* The logger registers the physical device itself. *)
         let frontend, logger =
           Rapilog.attach ~vmm ~power ~config:config.logger ~device:log_physical ()
-        in
-        let replication =
-          if config.mode = Rapilog_replicated then
-            (* The replica is a second machine: its log device belongs
-               to a different failure domain and is deliberately NOT
-               registered with the primary's power domain. *)
-            let replica_device = make_device sim config.device in
-            Some (Net.Replication.attach sim config.net ~logger ~replica_device)
-          else None
         in
         let quorum =
           if config.mode = Rapilog_quorum then
@@ -277,14 +260,14 @@ let build config =
                  ~make_device:(fun _ -> make_device sim config.device))
           else None
         in
-        (frontend, virtio_of data_physical, Some logger, replication, quorum, None)
+        (frontend, virtio_of data_physical, Some logger, quorum, None)
     | Wcache_flush | Unsafe_wcache ->
         (* Same hardware; the modes differ in whether the WAL issues a
            flush barrier after every force (safe) or trusts the volatile
            cache (fast and lossy on power cuts). *)
         let cached = Storage.Write_cache.wrap sim Storage.Write_cache.default log_physical in
         Power.Power_domain.register_device power cached;
-        (cached, data_physical, None, None, None, None)
+        (cached, data_physical, None, None, None)
   in
   (* With devices_per_shard > 1 the tier stripes shard 0 across members;
      recovery must read the striped view, not the bare first member. *)
@@ -351,7 +334,6 @@ let build config =
     data_members;
     data_chunk_sectors;
     logger;
-    replication;
     quorum;
     shard = shard_tier;
     generator = make_generator sim config;
@@ -366,15 +348,13 @@ let all_loggers built =
   | Some tier -> Shard.Tier.loggers tier
   | None -> Option.to_list built.logger
 
-(* What recovery reads after a crash: the bare log device, or — when a
-   replica exists — the primary's durable media merged with the
-   replica's received prefix. The merge is what turns machine loss from
-   fatal to survivable; for single-machine crash kinds it only ever
-   adds durable-but-unacked extras, which the audit tolerates. *)
+(* What recovery reads after a crash: the bare log device, or — when
+   replicas exist — the primary's durable media merged with the
+   replicas' received prefixes. The merge is what turns machine loss
+   from fatal to survivable; for single-machine crash kinds it only
+   ever adds durable-but-unacked extras, which the audit tolerates. *)
 let recovery_log_device built =
-  match (built.quorum, built.replication) with
-  | Some quorum, _ ->
+  match built.quorum with
+  | Some quorum ->
       Net.Quorum.recovery_log_device quorum ~primary:built.log_physical
-  | None, Some replication ->
-      Net.Replication.recovery_log_device replication ~primary:built.log_physical
-  | None, None -> built.log_physical
+  | None -> built.log_physical

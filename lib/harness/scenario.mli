@@ -10,18 +10,15 @@
       forcing synchronously. Isolates the virtualisation overhead.
     - [Rapilog]: virtualised, log disk interposed by the trusted logger —
       commits acknowledge from the trusted buffer.
-    - [Rapilog_replicated]: RapiLog-R — the trusted logger additionally
-      streams admitted entries over a simulated network link to a
-      replica machine ({!Net.Replication}, policy and link shape from
-      {!config.net}). Under the default replica-ack policy, commits
-      acknowledge only once the remote copy is held too, so even losing
-      the whole primary machine loses nothing acknowledged.
     - [Rapilog_quorum]: RapiLog-Q — the trusted logger streams admitted
       entries to [n] replica machines and commits acknowledge only once
       [k] of them hold the entry ({!Net.Quorum}, cluster shape from
       {!config.quorum}). At majority quorum the acknowledged prefix
       survives losing the primary plus any minority of replicas, with
-      an explicit leader election at recovery.
+      an explicit leader election at recovery. RapiLog-R is the
+      one-replica case: [n = 1, k = 1] (the [rapilog-replicated]
+      preset of [Scen.preset]) survives losing the whole primary
+      machine, and [n = 1, k = 0] replicates without waiting.
     - [Rapilog_sharded]: RapiLog-S — the machine additionally hosts a
       sharded multi-tenant logger tier ({!Shard.Tier}): per-tenant log
       streams hash-partitioned across several trusted-logger shards,
@@ -44,7 +41,6 @@ type mode =
   | Native_sync
   | Virt_sync
   | Rapilog
-  | Rapilog_replicated
   | Rapilog_quorum
   | Rapilog_sharded
   | Wcache_flush
@@ -57,16 +53,15 @@ val all_modes : mode list
 
 val mode_is_durable :
   mode ->
-  [ `Always | `Machine_loss_too | `Minority_loss_too | `Os_crash_only | `Never ]
+  [ `Always | `Minority_loss_too | `Os_crash_only | `Never ]
 (** The durability each mode promises: [`Always] covers OS crashes and
-    power cuts, [`Machine_loss_too] additionally survives the whole
-    primary machine vanishing (replica-ack replication — the promise
-    assumes the default {!Net.Replication.config.policy}),
-    [`Minority_loss_too] survives the primary plus any [quorum - 1]
-    replicas vanishing, partitions included (quorum replication — the
-    promise assumes [quorum] is a majority of {!Net.Quorum.config}'s
-    replicas), [`Os_crash_only] survives OS crashes but not power cuts,
-    [`Never] can lose acknowledged commits on any failure. *)
+    power cuts, [`Minority_loss_too] additionally survives the primary
+    plus any [quorum - 1] replicas vanishing, partitions included
+    (quorum replication — the promise assumes [quorum] is a majority of
+    {!Net.Quorum.config}'s replicas; at [n = 1, k = 1] that is the
+    whole primary machine), [`Os_crash_only] survives OS crashes but
+    not power cuts, [`Never] can lose acknowledged commits on any
+    failure. *)
 
 type device_kind =
   | Disk of Storage.Hdd.config  (** rotational disk ({!Storage.Hdd}) *)
@@ -115,8 +110,6 @@ type config = {
   duration : Desim.Time.span;  (** measurement window *)
   seed : int64;
   logger : Rapilog.Trusted_logger.config;
-  net : Net.Replication.config;
-      (** replication policy and link shapes, for [Rapilog_replicated] *)
   quorum : Net.Quorum.config;
       (** cluster size, quorum and per-replica link shapes, for
           [Rapilog_quorum] *)
@@ -167,9 +160,8 @@ type built = {
   data_chunk_sectors : int;
       (** stripe chunk size; 0 when the data volume is not striped *)
   logger : Rapilog.Trusted_logger.t option;
-      (** in [Rapilog], [Rapilog_replicated], [Rapilog_quorum] and
-          [Rapilog_sharded] modes (shard 0's logger for the latter) *)
-  replication : Net.Replication.t option;  (** in [Rapilog_replicated] mode *)
+      (** in [Rapilog], [Rapilog_quorum] and [Rapilog_sharded] modes
+          (shard 0's logger for the latter) *)
   quorum : Net.Quorum.t option;  (** in [Rapilog_quorum] mode *)
   shard : Shard.Tier.t option;  (** in [Rapilog_sharded] mode *)
   generator : generator;
@@ -189,10 +181,8 @@ val recovery_log_device : built -> Storage.Block.t
 (** The log device recovery should read after a crash: [log_physical],
     or — when the scenario has replicas — a frozen merge of the
     primary's durable media with the replicas' received entry prefixes
-    ({!Net.Quorum.recovery_log_device} for [Rapilog_quorum], which also
-    runs the leader election when the primary is dead;
-    {!Net.Replication.recovery_log_device} for
-    [Rapilog_replicated]). *)
+    ({!Net.Quorum.recovery_log_device}, which also runs the leader
+    election when the primary is dead). *)
 
 val hdd_streaming_bandwidth : Storage.Hdd.config -> float
 (** Sequential write bandwidth in bytes/s — the drain rate available to

@@ -392,6 +392,39 @@ type config = { replicas : int; quorum : int; links : Link.config list }
 let majority n = (n / 2) + 1
 let default = { replicas = 3; quorum = majority 3; links = [ Link.default ] }
 
+let config_errors config =
+  let bounds =
+    if config.replicas < 1 then
+      [ Printf.sprintf "%d replicas; the cluster needs at least one" config.replicas ]
+    else if config.quorum < 0 || config.quorum > config.replicas then
+      [
+        Printf.sprintf
+          "quorum %d of %d replicas; need 0 <= quorum <= replicas (majority \
+           is %d)"
+          config.quorum config.replicas (majority config.replicas);
+      ]
+    else []
+  in
+  (* No retransmit: a replica acks entries past a gap, so one lost entry
+     or ack parks the admitting writer — and every later commit behind
+     it — forever. *)
+  let lossy =
+    List.concat
+      (List.mapi
+         (fun i (lc : Link.config) ->
+           if lc.Link.drop_probability > 0. then
+             [
+               Printf.sprintf
+                 "link %d drops %g of its messages; the quorum runtime has no \
+                  retransmit, so one lost entry or ack stalls every later \
+                  commit (need drop_probability = 0)"
+                 i lc.Link.drop_probability;
+             ]
+           else [])
+         config.links)
+  in
+  bounds @ lossy
+
 let merge_prefix per_node_entries =
   let by_seq = Hashtbl.create 64 in
   List.iter
@@ -499,7 +532,9 @@ let replicate_hook t ~seq ~lba ~data =
   let wait_started =
     match t.m_quorum_wait with Some _ -> Metrics.Span.start t.sim | None -> 0
   in
-  if t.commit < seq then
+  (* k = 0: nothing to wait for, the commit watermark advances at send. *)
+  if t.config.quorum = 0 then t.commit <- seq
+  else if t.commit < seq then
     Process.suspend (fun resume -> Hashtbl.replace t.waiters seq resume);
   (match t.m_quorum_wait with
   | Some hist -> Metrics.Span.finish hist t.sim wait_started
@@ -514,8 +549,9 @@ let link_config config i =
   | links -> List.nth links (i mod List.length links)
 
 let attach sim (config : config) ~logger ~make_device =
-  if config.replicas < 1 || config.quorum < 1 || config.quorum > config.replicas
-  then invalid_arg "Quorum.attach: need 1 <= quorum <= replicas";
+  (match config_errors config with
+  | [] -> ()
+  | errs -> invalid_arg ("Quorum.attach: " ^ String.concat "; " errs));
   let self = ref None in
   let the t = match !t with Some t -> t | None -> assert false in
   let dummy_message = { m_seq = 0; m_lba = 0; m_data = "" } in
@@ -524,7 +560,7 @@ let attach sim (config : config) ~logger ~make_device =
         let replica = Replica.create sim ~device:(make_device i) () in
         (* Per node: ack link first, then data link — rng split order is
            fixed by construction order, part of the deterministic
-           schedule (same convention as Net.Replication). *)
+           schedule. *)
         let lc = link_config config i in
         let ack_link =
           Link.create sim
@@ -610,9 +646,9 @@ let node_partitioned t i =
   Link.partitioned t.nodes.(i).data_link
   || Link.partitioned t.nodes.(i).ack_link
 
-let handoff t =
-  (* Run the real protocol state machine over the live cluster's
-     watermarks: what the model checker proves is what executes here. *)
+(* k >= 1: run the real protocol state machine over the live cluster's
+   watermarks — what the model checker proves is what executes here. *)
+let elect t =
   let p =
     Protocol.create ~replicas:t.config.replicas ~quorum:t.config.quorum
   in
@@ -621,42 +657,66 @@ let handoff t =
     ~committed:t.commit ~term:t.term;
   Protocol.lose_primary p;
   Array.iter (fun node -> if not node.alive then Protocol.lose p node.id) t.nodes;
-  let election =
-    match Protocol.best_candidate p with
-    | None ->
-        { el_term = t.term; el_leader = -1; el_adopters = 0; el_quorum = false }
-    | Some c ->
-        Protocol.campaign p c;
-        for r = 0 to t.config.replicas - 1 do
-          while Protocol.can_deliver p r do
-            Protocol.deliver p r
-          done
-        done;
-        for r = 0 to t.config.replicas - 1 do
-          while Protocol.can_collect p r do
-            Protocol.collect p r
-          done
-        done;
-        let quorate =
-          match Protocol.lead p with
-          | Protocol.Replica_leader c' -> c' = c
-          | _ -> false
-        in
-        if quorate then begin
-          match Protocol.check p with
-          | [] -> ()
-          | issues ->
-              failwith
-                ("Quorum.handoff: quorate election violated an invariant: "
-                ^ String.concat "; " issues)
-        end;
-        {
-          el_term = Protocol.term p;
-          el_leader = c;
-          el_adopters = Protocol.adopts p;
-          el_quorum = quorate;
-        }
+  match Protocol.best_candidate p with
+  | None ->
+      { el_term = t.term; el_leader = -1; el_adopters = 0; el_quorum = false }
+  | Some c ->
+      Protocol.campaign p c;
+      for r = 0 to t.config.replicas - 1 do
+        while Protocol.can_deliver p r do
+          Protocol.deliver p r
+        done
+      done;
+      for r = 0 to t.config.replicas - 1 do
+        while Protocol.can_collect p r do
+          Protocol.collect p r
+        done
+      done;
+      let quorate =
+        match Protocol.lead p with
+        | Protocol.Replica_leader c' -> c' = c
+        | _ -> false
+      in
+      if quorate then begin
+        match Protocol.check p with
+        | [] -> ()
+        | issues ->
+            failwith
+              ("Quorum.handoff: quorate election violated an invariant: "
+              ^ String.concat "; " issues)
+      end;
+      {
+        el_term = Protocol.term p;
+        el_leader = c;
+        el_adopters = Protocol.adopts p;
+        el_quorum = quorate;
+      }
+
+(* k = 0: no commit ever waited for an ack, so there is no commit quorum
+   for an election to intersect. The live replica with the longest
+   prefix (lowest id on ties) takes over, non-quorate. *)
+let take_over t =
+  let leader =
+    Array.fold_left
+      (fun best node ->
+        if
+          node.alive
+          && (best < 0
+             || Replica.prefix node.replica
+                > Replica.prefix t.nodes.(best).replica)
+        then node.id
+        else best)
+      (-1) t.nodes
   in
+  {
+    el_term = (if leader < 0 then t.term else t.term + 1);
+    el_leader = leader;
+    el_adopters = 0;
+    el_quorum = false;
+  }
+
+let handoff t =
+  let election = if t.config.quorum = 0 then take_over t else elect t in
   t.term <- election.el_term;
   t.last_election <- Some election;
   election

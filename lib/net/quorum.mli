@@ -1,6 +1,12 @@
 (** RapiLog-Q: the trusted logger replicated to [n] nodes with a
     quorum-ack commit rule and an explicit leader-election protocol.
 
+    This is the repository's one replication runtime. RapiLog-R — one
+    replica machine — is its [n = 1] case: replica-ack is
+    [{replicas = 1; quorum = 1}], async-replica is
+    [{replicas = 1; quorum = 0}], and the local policy is plain
+    [Rapilog] mode with no cluster attached.
+
     Two layers live here, deliberately:
 
     {b The protocol} ({!Protocol}) is a pure message-level state machine
@@ -185,13 +191,17 @@ end
 
 type config = {
   replicas : int;  (** number of replica nodes, [>= 1] *)
-  quorum : int;  (** acks required to commit, [1 <= quorum <= replicas] *)
+  quorum : int;
+      (** acks required to commit, [0 <= quorum <= replicas]. At [0]
+          the commit waits for no replica (async replication): entries
+          are still sent, but the commit watermark advances at send. *)
   links : Link.config list;
       (** per-replica one-way link shape (used for both the data and
           ack direction of node [i], cycling if shorter than
           [replicas]); empty means {!Link.default} everywhere.
           Asymmetric lists model fast/slow replicas — the teeth of the
-          under-replicated control cell. *)
+          under-replicated control cell. Every link must be lossless
+          ([drop_probability = 0]): there is no retransmit. *)
 }
 
 val default : config
@@ -199,6 +209,13 @@ val default : config
 
 val majority : int -> int
 (** [majority n] = [n / 2 + 1]. *)
+
+val config_errors : config -> string list
+(** Every reason {!attach} would reject [config], empty if none:
+    [replicas < 1], a quorum outside [0 <= quorum <= replicas], and
+    each link (by its index in [links]) with [drop_probability > 0] —
+    a replica acks entries past a gap and nothing retransmits, so one
+    lost entry or ack would park every later commit forever. *)
 
 val merge_prefix :
   (int * int * string) list list -> (int * int * string) list
@@ -231,9 +248,11 @@ val attach :
   t
 (** Wire the quorum cluster into [logger]'s admission path: every
     admitted entry is sent on all live data links and the admitting
-    writer parks until [quorum] acks arrive. [make_device i] builds
-    replica [i]'s log device (a separate failure domain — do not
-    register it with the primary's power domain).
+    writer parks until [quorum] acks arrive (at [quorum = 0] it never
+    parks). [make_device i] builds replica [i]'s log device (a separate
+    failure domain — do not register it with the primary's power
+    domain). Raises [Invalid_argument] listing {!config_errors} if
+    there are any.
 
     With {!Desim.Metrics} recording on, the hook observes
     ["logger.replicate"] (whole hook) and ["logger.quorum_wait"] (park
@@ -244,7 +263,7 @@ val node_replica : t -> int -> Replica.t
 val live_nodes : t -> int list
 
 val commit_seq : t -> int
-(** Highest quorum-acked seq. *)
+(** Highest quorum-acked seq; at [quorum = 0], the highest seq sent. *)
 
 val sent : t -> int
 (** Entries pushed into the replication hook. *)
@@ -281,7 +300,12 @@ val handoff : t -> election
     (e.g. the elected leader dies too) concludes at a strictly higher
     term. Raises if a quorate election's protocol run ends with a
     violated invariant (it cannot, and we want to hear about it if it
-    does). *)
+    does).
+
+    At [quorum = 0] no commit waited for an ack, so there is no commit
+    quorum to intersect and no protocol run: the live replica with the
+    longest prefix takes over at the next term with [el_adopters = 0]
+    and [el_quorum = false]. *)
 
 val last_election : t -> election option
 

@@ -63,30 +63,13 @@ let validate (c : Scenario.config) =
           (Scenario.mode_name c.Scenario.mode));
   (match c.Scenario.mode with
   | Scenario.Rapilog_quorum ->
-      let q = c.Scenario.quorum in
-      if q.Net.Quorum.replicas < 1 then
-        reject "quorum: %d replicas; the cluster needs at least one"
-          q.Net.Quorum.replicas
-      else if q.Net.Quorum.quorum < 1 || q.Net.Quorum.quorum > q.Net.Quorum.replicas
-      then
-        reject
-          "quorum: %d of %d replicas; need 1 <= quorum <= replicas (majority \
-           is %d)"
-          q.Net.Quorum.quorum q.Net.Quorum.replicas
-          (Net.Quorum.majority q.Net.Quorum.replicas)
+      List.iter (reject "quorum: %s")
+        (Net.Quorum.config_errors c.Scenario.quorum)
   | _ ->
       if c.Scenario.quorum <> Net.Quorum.default then
         reject
           "quorum cluster configured but mode is %s; quorum replication only \
            runs under rapilog-quorum"
-          (Scenario.mode_name c.Scenario.mode));
-  (match c.Scenario.mode with
-  | Scenario.Rapilog_replicated -> ()
-  | _ ->
-      if c.Scenario.net <> Net.Replication.default then
-        reject
-          "replication (net) configured but mode is %s; the replica link only \
-           runs under rapilog-replicated"
           (Scenario.mode_name c.Scenario.mode));
   (match c.Scenario.workload with
   | Scenario.Micro m ->
@@ -295,8 +278,6 @@ module Builder = struct
         b
     else { b with faults = { f_kind = kind; f_rate = rate } :: b.faults }
 
-  let net n = set (fun c -> { c with Scenario.net = n })
-
   let quorum ~replicas ~quorum:q =
     set (fun c ->
         {
@@ -336,15 +317,31 @@ module Builder = struct
       [ base ] axes
 end
 
-let preset_names = List.map Scenario.mode_name Scenario.all_modes
+(* One preset per mode, plus RapiLog-R: the one-replica quorum cluster
+   at k = 1, listed after plain rapilog. *)
+let presets =
+  List.concat_map
+    (fun m ->
+      let p = (Scenario.mode_name m, Builder.mode m (Builder.start ())) in
+      if m <> Scenario.Rapilog then [ p ]
+      else
+        [
+          p;
+          ( "rapilog-replicated",
+            Builder.(
+              start () |> mode Scenario.Rapilog_quorum
+              |> quorum ~replicas:1 ~quorum:1) );
+        ])
+    Scenario.all_modes
+
+let preset_names = List.map fst presets
 
 let preset name =
-  match Scenario.mode_of_name name with
-  | Some m -> Builder.mode m (Builder.start ())
+  match List.assoc_opt name presets with
+  | Some b -> b
   | None ->
       invalid_arg
-        (Printf.sprintf "unknown preset %S; the presets are the mode names: %s"
-           name
+        (Printf.sprintf "unknown preset %S; the presets are: %s" name
            (String.concat ", " preset_names))
 
 module Workloads = struct

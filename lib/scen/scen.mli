@@ -187,12 +187,11 @@ module Builder : sig
       error. The schedule is read back with {!faults}; it does not
       perturb the config or its digest. *)
 
-  val net : Net.Replication.config -> t -> t
-  (** Replication policy and link shapes, for [Rapilog_replicated]. *)
-
   val quorum : replicas:int -> quorum:int -> t -> t
   (** Cluster size and ack threshold, for [Rapilog_quorum]; keeps the
-      configured per-replica link shapes. *)
+      configured per-replica link shapes. [replicas = 1] is RapiLog-R:
+      [quorum = 1] waits for the replica's ack, [quorum = 0] does
+      not. *)
 
   val shards : int -> t -> t
   (** Logger shard count of the multi-tenant tier, for
@@ -250,9 +249,11 @@ val validate :
       multiple streams);
     - [Rapilog_sharded] with [single_disk] or [log_streams > 1], and a
       non-default shard tier outside [Rapilog_sharded];
-    - a non-default replication config outside [Rapilog_replicated],
-      a non-default quorum config outside [Rapilog_quorum], and quorum
-      bounds ([1 <= quorum <= replicas]);
+    - a non-default quorum config outside [Rapilog_quorum], and under
+      it every {!Net.Quorum.config_errors}: quorum bounds
+      ([0 <= quorum <= replicas]) and lossy links
+      ([drop_probability > 0], named by index — the runtime has no
+      retransmit, so a lost message would stall every commit);
     - malformed workload parameters (empty key spaces, non-positive
       payloads, read fractions outside [0, 1]);
     - malformed arrival shapes ({!Workload.Arrival.validate_shape}) and
@@ -280,11 +281,15 @@ val preset : string -> Builder.t
 (** [preset name] is the canonical configuration of the named mode
     (["rapilog"], ["native-sync"], … — {!Harness.Scenario.mode_name}
     spellings): {!Harness.Scenario.default} with that mode selected,
-    digest-identical to the legacy hand-rolled record. Raises
-    [Invalid_argument] for unknown names, listing the valid ones. *)
+    digest-identical to the legacy hand-rolled record. One preset is
+    not a mode: ["rapilog-replicated"] (RapiLog-R) is [Rapilog_quorum]
+    with one replica and [quorum = 1]. Raises [Invalid_argument] for
+    unknown names, listing the valid ones. *)
 
 val preset_names : string list
-(** The nine preset names, in {!Harness.Scenario.all_modes} order. *)
+(** The nine preset names: one per mode in
+    {!Harness.Scenario.all_modes} order, with ["rapilog-replicated"]
+    right after ["rapilog"]. *)
 
 (** The open-loop workload library: named load shapes over the
     builder, each a [Builder.t -> Builder.t] pipeline stage. Every

@@ -34,8 +34,8 @@ let mode_names_roundtrip () =
 let durability_promises () =
   Alcotest.(check bool) "rapilog always durable" true
     (Scenario.mode_is_durable Scenario.Rapilog = `Always);
-  Alcotest.(check bool) "replicated rapilog survives machine loss too" true
-    (Scenario.mode_is_durable Scenario.Rapilog_replicated = `Machine_loss_too);
+  Alcotest.(check bool) "quorum rapilog survives minority loss too" true
+    (Scenario.mode_is_durable Scenario.Rapilog_quorum = `Minority_loss_too);
   Alcotest.(check bool) "wcache unsafe on power" true
     (Scenario.mode_is_durable Scenario.Unsafe_wcache = `Os_crash_only);
   Alcotest.(check bool) "async never" true

@@ -1,7 +1,8 @@
 (* Tests for the simulated network layer and the replicated trusted
-   logger (RapiLog-R): per-link FIFO delivery, fault-model bookkeeping,
-   seed-determinism of the delivery schedule, and the machine-loss
-   durability asymmetry between local and replicated RapiLog. *)
+   logger (RapiLog-R, the one-replica quorum cluster): per-link FIFO
+   delivery, fault-model bookkeeping, seed-determinism of the delivery
+   schedule, and the machine-loss durability asymmetry between local and
+   replicated RapiLog. *)
 
 open Desim
 open Testu
@@ -200,12 +201,16 @@ let outage_degenerate_and_reversed () =
            ~partition:ignore ~heal:ignore));
   Sim.run sim
 
-(* -- replication ---------------------------------------------------------- *)
+(* -- replication: RapiLog-R as the one-replica quorum cluster ------------- *)
 
-let replicated_scenario ?(policy = Net.Replication.Replica_ack) () =
+let one_replica quorum = { Net.Quorum.default with Net.Quorum.replicas = 1; quorum }
+
+(* The rapilog-replicated preset's shape — one replica, commit on [quorum]
+   acks (1 = replica-ack, 0 = async) — over a small update workload. *)
+let replicated_scenario ?(quorum = 1) () =
   {
     Harness.Scenario.default with
-    Harness.Scenario.mode = Harness.Scenario.Rapilog_replicated;
+    Harness.Scenario.mode = Harness.Scenario.Rapilog_quorum;
     workload =
       Harness.Scenario.Micro
         {
@@ -217,53 +222,23 @@ let replicated_scenario ?(policy = Net.Replication.Replica_ack) () =
     seed = 99L;
     warmup = Time.ms 50;
     duration = Time.ms 400;
-    net = { Net.Replication.default with Net.Replication.policy };
+    quorum = one_replica quorum;
   }
 
-(* Drive the replicated datapath directly — logger, links and replica
-   wired by hand, no background scenario machinery — and check the
-   counters line up end to end. *)
+(* The datapath is driven directly — logger, links and replica wired by
+   hand, no background scenario machinery — by the quorum tests' rig. *)
 let replication_counters () =
-  let sim = Sim.create ~seed:5L () in
-  let device = Storage.Hdd.create sim Storage.Hdd.default_7200rpm in
-  let trusted =
-    Hypervisor.Domain.create sim ~name:"rapilog" ~kind:Hypervisor.Domain.Trusted
-  in
-  let logger =
-    Rapilog.Trusted_logger.create sim ~domain:trusted
-      Rapilog.Trusted_logger.default_config ~device
-  in
-  let backend_domain =
-    Hypervisor.Domain.create sim ~name:"drv" ~kind:Hypervisor.Domain.Trusted
-  in
-  let frontend =
-    Hypervisor.Virtio_blk.create sim ~ipc:Hypervisor.Ipc.default_sel4
-      ~backend_domain
-      (Rapilog.Trusted_logger.backend logger)
-  in
-  let replica_device = Storage.Hdd.create sim Storage.Hdd.default_7200rpm in
-  let repl =
-    Net.Replication.attach sim Net.Replication.default ~logger ~replica_device
-  in
-  let guest =
-    Hypervisor.Domain.create sim ~name:"guest" ~kind:Hypervisor.Domain.Guest
-  in
   let writes = 24 in
-  ignore
-    (Hypervisor.Domain.spawn guest (fun () ->
-         for i = 1 to writes do
-           Storage.Block.write frontend ~lba:(i * 2)
-             (String.make 512 (Char.chr (64 + (i mod 26))))
-         done;
-         Rapilog.Trusted_logger.quiesce logger;
-         Net.Replica.quiesce (Net.Replication.replica repl)));
-  Sim.run sim;
-  let replica = Net.Replication.replica repl in
-  Alcotest.(check int) "every admission sent" writes (Net.Replication.sent repl);
-  Alcotest.(check int) "every entry acked back" writes (Net.Replication.acked repl);
+  let _device, logger, q =
+    Test_quorum.quorum_rig ~config:(one_replica 1) ~writes ()
+  in
+  let replica = Net.Quorum.node_replica q 0 in
+  Alcotest.(check int) "every admission sent" writes (Net.Quorum.sent q);
+  Alcotest.(check int) "every entry acked back" writes (Net.Quorum.acks q);
+  Alcotest.(check int) "every seq committed" writes (Net.Quorum.commit_seq q);
   Alcotest.(check int) "replica received all" writes (Net.Replica.received replica);
   Alcotest.(check int) "replica drained all" writes (Net.Replica.drained_writes replica);
-  Alcotest.(check int) "nothing left on the wire" 0 (Net.Replication.wire_in_flight repl);
+  Alcotest.(check int) "nothing left on the wire" 0 (Net.Quorum.wire_in_flight q);
   Alcotest.(check int) "logger acked every write" writes
     (Rapilog.Trusted_logger.acked_writes logger);
   let seqs = List.map (fun (seq, _, _) -> seq) (Net.Replica.entries replica) in
@@ -271,15 +246,68 @@ let replication_counters () =
     (List.init writes (fun i -> i + 1))
     seqs
 
+(* The three RapiLog-R policies: async (k = 0), replica-ack (k = 1) and
+   local (plain rapilog, no replica). *)
 let replicated_steady_commits () =
   List.iter
-    (fun policy ->
-      let r = Harness.Experiment.run_steady (replicated_scenario ~policy ()) in
+    (fun (name, config) ->
+      let r = Harness.Experiment.run_steady config in
       Alcotest.(check bool)
-        (Net.Replication.policy_name policy ^ " commits in window")
+        (name ^ " commits in window")
         true
         (r.Harness.Experiment.committed_in_window > 0))
-    Net.Replication.all_policies
+    [
+      ("async-replica", replicated_scenario ~quorum:0 ());
+      ("replica-ack", replicated_scenario ~quorum:1 ());
+      ( "local",
+        {
+          (replicated_scenario ()) with
+          Harness.Scenario.mode = Harness.Scenario.Rapilog;
+          quorum = Net.Quorum.default;
+        } );
+    ]
+
+(* With the only replica partitioned off, k = 0 keeps committing — its
+   entries pile up on the held link — while k = 1 parks the first
+   writer for good. *)
+let partitioned_replica () =
+  let writes = 8 in
+  let partition q = Net.Quorum.partition_node q 0 in
+  let _device, logger, q =
+    Test_quorum.quorum_rig ~config:(one_replica 0) ~writes ~setup:partition ()
+  in
+  Alcotest.(check int) "k = 0: every write acked" writes
+    (Rapilog.Trusted_logger.acked_writes logger);
+  Alcotest.(check int) "k = 0: every seq committed at send" writes
+    (Net.Quorum.commit_seq q);
+  Alcotest.(check int) "k = 0: the replica received nothing" 0
+    (Net.Replica.received (Net.Quorum.node_replica q 0));
+  Alcotest.(check int) "k = 0: the entries are held on the wire" writes
+    (Net.Quorum.wire_in_flight q);
+  let _device, logger, q =
+    Test_quorum.quorum_rig ~config:(one_replica 1) ~writes ~setup:partition ()
+  in
+  Alcotest.(check int) "k = 1: no write acked" 0
+    (Rapilog.Trusted_logger.acked_writes logger);
+  Alcotest.(check int) "k = 1: nothing committed" 0 (Net.Quorum.commit_seq q);
+  Alcotest.(check int) "k = 1: only the first entry was sent" 1
+    (Net.Quorum.sent q)
+
+(* No retransmit: a lossy link would stall every commit, so attach
+   refuses one and names it. *)
+let lossy_link_rejected () =
+  let config =
+    {
+      (one_replica 1) with
+      Net.Quorum.links =
+        [ { Net.Link.default with Net.Link.drop_probability = 0.05 } ];
+    }
+  in
+  match Test_quorum.quorum_rig ~config () with
+  | _ -> Alcotest.fail "lossy link accepted"
+  | exception Invalid_argument msg ->
+      Alcotest.(check bool) ("message names the link: " ^ msg) true
+        (contains msg "link 0" && contains msg "drop")
 
 let replicated_steady_deterministic () =
   let config = replicated_scenario () in
@@ -388,7 +416,11 @@ let pair_schedule_names_roundtrip () =
 (* -- machine loss --------------------------------------------------------- *)
 
 let local_scenario () =
-  { (replicated_scenario ()) with Harness.Scenario.mode = Harness.Scenario.Rapilog }
+  {
+    (replicated_scenario ()) with
+    Harness.Scenario.mode = Harness.Scenario.Rapilog;
+    quorum = Net.Quorum.default;
+  }
 
 let tiny_sweep scenario =
   {
@@ -486,6 +518,9 @@ let suites =
         case "datapath counters line up" replication_counters;
         case "all policies commit" replicated_steady_commits;
         case "replicated steady run deterministic" replicated_steady_deterministic;
+        case "partitioned replica: k = 0 commits, k = 1 stalls"
+          partitioned_replica;
+        case "lossy link rejected at attach" lossy_link_rejected;
       ] );
     ( "net.quorum-scenario",
       [

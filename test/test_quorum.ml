@@ -186,8 +186,10 @@ let quorum_one_loses () =
 (* -- the simulated runtime ------------------------------------------------- *)
 
 (* Hand-wired quorum cluster: logger, per-node link pairs and replicas,
-   no scenario machinery. *)
-let quorum_rig ?(config = Net.Quorum.default) ?(writes = 24) ?(seed = 5L) () =
+   no scenario machinery. [setup] runs on the cluster before the guest
+   writes. *)
+let quorum_rig ?(config = Net.Quorum.default) ?(writes = 24) ?(seed = 5L)
+    ?(setup = ignore) () =
   let sim = Sim.create ~seed () in
   let device = Storage.Hdd.create sim Storage.Hdd.default_7200rpm in
   let trusted =
@@ -209,6 +211,7 @@ let quorum_rig ?(config = Net.Quorum.default) ?(writes = 24) ?(seed = 5L) () =
     Net.Quorum.attach sim config ~logger
       ~make_device:(fun _ -> Storage.Hdd.create sim Storage.Hdd.default_7200rpm)
   in
+  setup q;
   let guest =
     Hypervisor.Domain.create sim ~name:"guest" ~kind:Hypervisor.Domain.Guest
   in
@@ -241,9 +244,10 @@ let quorum_counters () =
       (Net.Replica.prefix (Net.Quorum.node_replica q i))
   done
 
-(* Counter and watermark consistency over the (replicas, quorum) grid. *)
+(* Counter and watermark consistency over the (replicas, quorum) grid,
+   k = 0 included: acks still flow back, they just park nobody. *)
 let rig_grid_law (replicas, quorum_raw, seed) =
-  let quorum = 1 + (quorum_raw mod replicas) in
+  let quorum = quorum_raw mod (replicas + 1) in
   let writes = 8 in
   let config =
     { Net.Quorum.default with Net.Quorum.replicas; quorum }

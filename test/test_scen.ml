@@ -13,11 +13,6 @@ open Testu
 module B = Scen.Builder
 module Scenario = Harness.Scenario
 
-let contains haystack needle =
-  let n = String.length haystack and m = String.length needle in
-  let rec go i = i + m <= n && (String.sub haystack i m = needle || go (i + 1)) in
-  go 0
-
 let check_rejects name axis config =
   match Scen.validate config with
   | Ok _ -> Alcotest.failf "%s: expected rejection" name
@@ -31,12 +26,18 @@ let presets_digest_identical () =
   Alcotest.(check int) "nine presets" 9 (List.length Scen.preset_names);
   List.iter
     (fun name ->
-      let mode =
+      let legacy =
         match Scenario.mode_of_name name with
-        | Some m -> m
-        | None -> Alcotest.failf "preset %s is not a mode name" name
+        | Some mode -> { Scenario.default with Scenario.mode }
+        | None when name = "rapilog-replicated" ->
+            {
+              Scenario.default with
+              Scenario.mode = Scenario.Rapilog_quorum;
+              quorum =
+                { Scenario.default.Scenario.quorum with Net.Quorum.replicas = 1; quorum = 1 };
+            }
+        | None -> Alcotest.failf "preset %s is neither a mode nor RapiLog-R" name
       in
-      let legacy = { Scenario.default with Scenario.mode } in
       Alcotest.(check string)
         ("preset " ^ name)
         (Scen.digest legacy)
@@ -213,7 +214,14 @@ let validate_accepts_presets () =
       match Scen.validate (B.peek (Scen.preset name)) with
       | Ok _ -> ()
       | Error msg -> Alcotest.failf "preset %s rejected: %s" name msg)
-    Scen.preset_names
+    Scen.preset_names;
+  (* ... and RapiLog-R's async policy, the one-replica cluster at k = 0. *)
+  match
+    Scen.validate
+      (B.peek (Scen.preset "rapilog-replicated" |> B.quorum ~replicas:1 ~quorum:0))
+  with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.failf "k = 0 rejected: %s" msg
 
 let validate_accepts_workload_grid () =
   List.iter
@@ -265,11 +273,19 @@ let validate_rejections () =
       d with
       Scenario.quorum = { d.Scenario.quorum with Net.Quorum.replicas = 5; quorum = 3 };
     };
-  check_rejects "replication config outside replicated mode" "rapilog-replicated"
+  check_rejects "lossy quorum link" "link 1"
     {
       d with
-      Scenario.net =
-        { d.Scenario.net with Net.Replication.policy = Net.Replication.Async_replica };
+      Scenario.mode = Scenario.Rapilog_quorum;
+      quorum =
+        {
+          d.Scenario.quorum with
+          Net.Quorum.links =
+            [
+              Net.Link.default;
+              { Net.Link.default with Net.Link.drop_probability = 0.05 };
+            ];
+        };
     };
   check_rejects "churn under open loop" "open-loop"
     {

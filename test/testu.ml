@@ -4,6 +4,11 @@ open Desim
 
 let case name f = Alcotest.test_case name `Quick f
 
+let contains haystack needle =
+  let n = String.length haystack and m = String.length needle in
+  let rec go i = i + m <= n && (String.sub haystack i m = needle || go (i + 1)) in
+  go 0
+
 (* Every property draws from one pinned seed, so each run of the suite
    checks the same cases. [QCHECK_SEED=<n>] replaces it (the CI soak
    runs the suite under random seeds this way); a failing property
