@@ -51,18 +51,24 @@ let read_durable_log ~log_device ~wal_config =
   if extent <= start then ""
   else Storage.Block.durable_read log_device ~lba:start ~sectors:(extent - start)
 
-(* Chunked scan: read the log region incrementally and decode as we go,
-   stopping at the first definitively-invalid record. This keeps memory
-   proportional to the valid log even when the device's written extent is
-   dominated by something else (the single-disk layout puts data pages on
-   the same device, far past the log region). *)
+(* Chunked scan: read the log region a chunk at a time and decode as we
+   go, stopping at the first definitively-invalid record, so the read
+   stops slightly past the valid log even when the device's written
+   extent is dominated by something else (the single-disk layout puts
+   data pages on the same device, far past the log region). Decoding
+   works on a window: the undecoded tail of the previous window (at most
+   one partial record) followed by the new chunk, read in one piece from
+   the sector holding the tail's first byte. [window_lba] is that
+   sector, so LSNs stay absolute. Only the tail's sectors are read
+   twice, so the scan allocates in proportion to the log it reads. *)
 let scan_chunk_sectors = 4096
 
 let scan_records_region ~log_device ~start ~limit_lba =
   let sector_size = (Storage.Block.info log_device).Storage.Block.sector_size in
   let extent = min (Storage.Block.durable_extent log_device) limit_lba in
-  let buf = Buffer.create (scan_chunk_sectors * sector_size) in
   let records = ref [] in
+  let window = ref "" in
+  let window_lba = ref start in
   let pos = ref 0 in
   let finished = ref false in
   let next_lba = ref start in
@@ -70,22 +76,26 @@ let scan_records_region ~log_device ~start ~limit_lba =
     if !next_lba >= extent then finished := true
     else begin
       let sectors = min scan_chunk_sectors (extent - !next_lba) in
-      Buffer.add_string buf
-        (Storage.Block.durable_read log_device ~lba:!next_lba ~sectors);
+      let tail_lba = !window_lba + (!pos / sector_size) in
+      window :=
+        Storage.Block.durable_read log_device ~lba:tail_lba
+          ~sectors:(!next_lba + sectors - tail_lba);
       next_lba := !next_lba + sectors;
-      let contents = Buffer.contents buf in
+      window_lba := tail_lba;
+      pos := !pos mod sector_size;
+      let base = (tail_lba - start) * sector_size in
       let progressing = ref true in
       while !progressing do
-        match Log_record.decode contents ~pos:!pos with
+        match Log_record.decode !window ~pos:!pos with
         | Some (record, size) ->
             pos := !pos + size;
-            records := (record, Lsn.of_int !pos) :: !records
+            records := (record, Lsn.of_int (base + !pos)) :: !records
         | None -> progressing := false
       done;
       (* If decoding stalled with more than a maximal record still
          unread, the next bytes are not a truncated record — they are
          the end of the log. *)
-      if String.length contents - !pos > Log_record.max_body + 64 then
+      if String.length !window - !pos > Log_record.max_body + 64 then
         finished := true
     end
   done;

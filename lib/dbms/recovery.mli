@@ -71,12 +71,20 @@ val run :
 val read_durable_log : log_device:Storage.Block.t -> wal_config:Wal.config -> string
 (** The raw durable log stream bytes; exposed for tests. *)
 
+val scan_chunk_sectors : int
+(** Sectors {!scan_records} reads per device read; exposed so tests can
+    place records across chunk boundaries. *)
+
 val scan_records :
   log_device:Storage.Block.t -> wal_config:Wal.config -> (Log_record.t * Lsn.t) list
 (** Chunked scan of the durable log: decodes records incrementally and
     stops at the first invalid one, reading only slightly past the valid
     log even when the device's written extent is much larger (the
-    single-disk layout). This is what {!run} uses. *)
+    single-disk layout). Apart from the decoded records it holds one
+    chunk plus at most one partial record, and it allocates in
+    proportion to the log it reads. Its result equals
+    [Log_record.decode_stream (read_durable_log ...)], LSNs included.
+    This is what {!run} uses. *)
 
 (** Incremental recovery over a monotonically growing base media image,
     for sweeps that run recovery at many nearby crash points. A

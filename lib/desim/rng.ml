@@ -1,6 +1,13 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The xoshiro256++ state lives in 32 bytes rather than four mutable
+   [int64] fields: a stored [int64] field is boxed, so every step would
+   allocate four boxes. The primitives below compile to plain loads and
+   stores, and the state is private, so native byte order is fine. *)
+type t = Bytes.t
 
-let rotl x k =
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let[@inline] rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
 (* splitmix64: used only to expand a 64-bit seed into xoshiro state. *)
@@ -13,46 +20,49 @@ let splitmix_next state =
 
 let create seed =
   let state = ref seed in
-  let s0 = splitmix_next state in
-  let s1 = splitmix_next state in
-  let s2 = splitmix_next state in
-  let s3 = splitmix_next state in
-  { s0; s1; s2; s3 }
+  let t = Bytes.create 32 in
+  for i = 0 to 3 do
+    set64 t (8 * i) (splitmix_next state)
+  done;
+  t
 
-let bits64 t =
-  let result = Int64.add (rotl (Int64.add t.s0 t.s3) 23) t.s0 in
-  let tmp = Int64.shift_left t.s1 17 in
-  t.s2 <- Int64.logxor t.s2 t.s0;
-  t.s3 <- Int64.logxor t.s3 t.s1;
-  t.s1 <- Int64.logxor t.s1 t.s2;
-  t.s0 <- Int64.logxor t.s0 t.s3;
-  t.s2 <- Int64.logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+(* Inlined into every draw, so its [int64]s stay unboxed and a draw that
+   returns an [int] allocates nothing. *)
+let[@inline] next t =
+  let s0 = get64 t 0 and s1 = get64 t 8 and s2 = get64 t 16 and s3 = get64 t 24 in
+  let result = Int64.add (rotl (Int64.add s0 s3) 23) s0 in
+  let s2 = Int64.logxor s2 s0 in
+  let s3 = Int64.logxor s3 s1 in
+  set64 t 8 (Int64.logxor s1 s2);
+  set64 t 0 (Int64.logxor s0 s3);
+  set64 t 16 (Int64.logxor s2 (Int64.shift_left s1 17));
+  set64 t 24 (rotl s3 45);
   result
 
-let split t = create (bits64 t)
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let bits64 t = next t
+let split t = create (next t)
+let copy = Bytes.copy
 
 let float t =
   (* 53 high bits give a uniform double in [0, 1). *)
-  let bits = Int64.shift_right_logical (bits64 t) 11 in
+  let bits = Int64.shift_right_logical (next t) 11 in
   Int64.to_float bits *. (1.0 /. 9007199254740992.0)
+
+(* Rejection sampling over the positive-int range avoids modulo bias. *)
+let rec int_draw t n =
+  let v = Int64.to_int (Int64.shift_right_logical (next t) 2) in
+  let bound = v mod n in
+  if v - bound + (n - 1) < 0 then int_draw t n else bound
 
 let int t n =
   assert (n > 0);
-  (* Rejection sampling over the positive-int range avoids modulo bias. *)
-  let rec draw () =
-    let v = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) in
-    let bound = v mod n in
-    if v - bound + (n - 1) < 0 then draw () else bound
-  in
-  draw ()
+  int_draw t n
 
 let int_in t lo hi =
   assert (lo <= hi);
   lo + int t (hi - lo + 1)
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
+let bool t = Int64.logand (next t) 1L = 1L
 
 let pick t arr =
   assert (Array.length arr > 0);
