@@ -18,7 +18,6 @@ type t = {
   mutable popped : int;
   mutable max_bytes : int;
   mutable push_count : int;
-  mutable pop_count : int;
 }
 
 let initial_slots = 64
@@ -38,10 +37,8 @@ let create ~sector_size ~capacity_bytes =
     popped = 0;
     max_bytes = 0;
     push_count = 0;
-    pop_count = 0;
   }
 
-let capacity_bytes t = t.capacity_bytes
 let bytes_used t = t.bytes
 let length t = t.count
 let is_empty t = t.count = 0
@@ -92,8 +89,7 @@ let drop_head t =
   t.head <- (j + 1) land (Array.length t.lbas - 1);
   t.count <- t.count - 1;
   t.bytes <- t.bytes - len;
-  t.popped <- t.popped + len;
-  t.pop_count <- t.pop_count + 1
+  t.popped <- t.popped + len
 
 let head_stamp t = if t.count = 0 then 0 else t.stamps.(t.head)
 
@@ -193,8 +189,7 @@ let pop_coalesced t ~max_bytes =
             ((t.lbas.(j) - base) * t.sector_size)
             (String.length data);
           t.bytes <- t.bytes - String.length data;
-          t.popped <- t.popped + String.length data;
-          t.pop_count <- t.pop_count + 1
+          t.popped <- t.popped + String.length data
         end
         else begin
           let dst = slot t !kept in
@@ -212,14 +207,10 @@ let pop_coalesced t ~max_bytes =
     Some { lba = base; data = Bytes.unsafe_to_string merged }
   end
 
-let iter t f =
-  for i = 0 to t.count - 1 do
-    let j = slot t i in
-    f { lba = t.lbas.(j); data = t.datas.(j) }
-  done
+let copy t =
+  { t with lbas = Array.copy t.lbas; datas = Array.copy t.datas; stamps = Array.copy t.stamps }
 
 let pushed_bytes t = t.pushed
 let popped_bytes t = t.popped
 let max_bytes_used t = t.max_bytes
 let pushes t = t.push_count
-let pops t = t.pop_count

@@ -15,7 +15,6 @@ val create : sector_size:int -> capacity_bytes:int -> t
 (** An empty buffer; [capacity_bytes] bounds {!bytes_used}, and entries
     must be whole sectors of [sector_size]. *)
 
-val capacity_bytes : t -> int
 val bytes_used : t -> int
 
 val length : t -> int
@@ -49,10 +48,8 @@ val pop_coalesced : t -> max_bytes:int -> entry option
     in the queue; an entry overlapping a skipped one is never taken,
     keeping every sector's writes in push order. *)
 
-val iter : t -> (entry -> unit) -> unit
-(** Visit the queued entries oldest-first without consuming them. The
-    crash-surface reconstruction snapshots the buffer contents at a
-    boundary with this. *)
+val copy : t -> t
+(** An independent buffer with the same entries, stamps and counters. *)
 
 val pushed_bytes : t -> int
 (** Total bytes ever accepted. *)
@@ -64,8 +61,4 @@ val max_bytes_used : t -> int
 (** High-water mark of {!bytes_used} over the buffer's lifetime. *)
 
 val pushes : t -> int
-(** Entries ever accepted; with {!pops} this gives the drain's
-    coalescing factor at the entry granularity. *)
-
-val pops : t -> int
-(** Batches ever popped (coalesced batches count once). *)
+(** Entries ever accepted. *)

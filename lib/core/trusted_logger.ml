@@ -9,6 +9,45 @@ type config = {
 let default_config =
   { buffer_bytes = 8 * 1024 * 1024; copy_bandwidth = 1e9; drain_max_bytes = 512 * 1024 }
 
+(* The ring policy as one state type: what admission accepts, which
+   coalesced batch drains next, and what a power-fail does to the ring.
+   The live logger below runs on it, and the journal crash sweep drives
+   a copy of it through the same functions, so the post-cut drain the
+   sweep checks is this code and not a second rendering of it. *)
+module Ring_state = struct
+  type t = { ring : Ring_buffer.t; config : config; mutable accepting : bool }
+
+  let create config ~sector_size =
+    {
+      ring = Ring_buffer.create ~sector_size ~capacity_bytes:config.buffer_bytes;
+      config;
+      accepting = true;
+    }
+
+  let copy t = { t with ring = Ring_buffer.copy t.ring }
+  let config t = t.config
+  let accepting t = t.accepting
+  let bytes_used t = Ring_buffer.bytes_used t.ring
+  let is_empty t = Ring_buffer.is_empty t.ring
+
+  let admit ?stamp t ~lba ~data =
+    t.accepting && Ring_buffer.try_push ?stamp t.ring ~lba ~data
+
+  let next_batch t =
+    Ring_buffer.pop_coalesced t.ring ~max_bytes:t.config.drain_max_bytes
+
+  let power_fail t = t.accepting <- false
+
+  let drain t ~write =
+    let running = ref true in
+    while !running do
+      let stamp = Ring_buffer.head_stamp t.ring in
+      match next_batch t with
+      | None -> running := false
+      | Some { Ring_buffer.lba; data } -> running := write ~stamp ~lba ~data
+    done
+end
+
 (* Commit-path stage handles, resolved once against the ambient registry
    at {!create} time (the {!Desim.Metrics} discipline: [None] when
    metrics are off, so the hot path pays one branch and no allocation). *)
@@ -23,28 +62,23 @@ type logger_metrics = {
 
 type t = {
   sim : Sim.t;
-  config : config;
   device : Storage.Block.t;
   trace : Trace.t;
-  ring : Ring_buffer.t;
+  state : Ring_state.t;
   arrived : Resource.Condition.t;
   space_freed : Resource.Condition.t;
   empty : Resource.Condition.t;
-  mutable accepting : bool;
   mutable draining : bool;  (* a popped batch is being written *)
   mutable acked_bytes : int;
   mutable acked_writes : int;
   mutable drained_bytes : int;
   mutable drain_writes : int;
-  mutable max_buffered : int;
   mutable stalls : int;
   (* Replication (Net.Quorum): called at the admission instant with the
      1-based admission sequence number; may block the admitting writer
      until a quorum of replicas acks. [None] = single-machine logger,
      byte-identical to the pre-replication behaviour. *)
   mutable replicate : (seq:int -> lba:int -> data:string -> unit) option;
-  mutable push_seq : int;
-  mutable admitted_bytes : int;
   journal : Journal.t option;
   metrics : logger_metrics option;
 }
@@ -52,39 +86,39 @@ type t = {
 let journal_device t = Storage.Block.journal_id t.device
 
 let drainer t () =
+  let write ~stamp ~lba ~data =
+    t.draining <- true;
+    (match t.journal with
+    | Some j ->
+        Journal.pop j t.sim ~device:(journal_device t) ~lba
+          ~bytes:(String.length data)
+    | None -> ());
+    (match t.metrics with
+    | Some m ->
+        (* Age of the batch head: push instant -> this pop. *)
+        Metrics.Span.finish m.m_ring_wait t.sim stamp;
+        Metrics.Gauge.set m.m_buffered
+          (float_of_int (Ring_state.bytes_used t.state))
+    | None -> ());
+    let write_started =
+      match t.metrics with Some _ -> Metrics.Span.start t.sim | None -> 0
+    in
+    Storage.Block.write t.device ~lba data;
+    (match t.metrics with
+    | Some m -> Metrics.Span.finish m.m_drain_write t.sim write_started
+    | None -> ());
+    t.drained_bytes <- t.drained_bytes + String.length data;
+    t.drain_writes <- t.drain_writes + 1;
+    Trace.emit t.trace t.sim ~tag:"drain" "wrote %d bytes at lba %d"
+      (String.length data) lba;
+    Resource.Condition.broadcast t.space_freed;
+    true
+  in
   while true do
-    let head_stamp = Ring_buffer.head_stamp t.ring in
-    match Ring_buffer.pop_coalesced t.ring ~max_bytes:t.config.drain_max_bytes with
-    | None ->
-        t.draining <- false;
-        if Ring_buffer.is_empty t.ring then Resource.Condition.broadcast t.empty;
-        Resource.Condition.wait t.arrived
-    | Some { Ring_buffer.lba; data } ->
-        t.draining <- true;
-        (match t.journal with
-        | Some j ->
-            Journal.pop j t.sim ~device:(journal_device t) ~lba
-              ~bytes:(String.length data)
-        | None -> ());
-        (match t.metrics with
-        | Some m ->
-            (* Age of the batch head: push instant -> this pop. *)
-            Metrics.Span.finish m.m_ring_wait t.sim head_stamp;
-            Metrics.Gauge.set m.m_buffered
-              (float_of_int (Ring_buffer.bytes_used t.ring))
-        | None -> ());
-        let write_started =
-          match t.metrics with Some _ -> Metrics.Span.start t.sim | None -> 0
-        in
-        Storage.Block.write t.device ~lba data;
-        (match t.metrics with
-        | Some m -> Metrics.Span.finish m.m_drain_write t.sim write_started
-        | None -> ());
-        t.drained_bytes <- t.drained_bytes + String.length data;
-        t.drain_writes <- t.drain_writes + 1;
-        Trace.emit t.trace t.sim ~tag:"drain" "wrote %d bytes at lba %d"
-          (String.length data) lba;
-        Resource.Condition.broadcast t.space_freed
+    Ring_state.drain t.state ~write;
+    t.draining <- false;
+    Resource.Condition.broadcast t.empty;
+    Resource.Condition.wait t.arrived
   done
 
 let create sim ~domain ?(trace = Trace.null) config ~device =
@@ -93,27 +127,21 @@ let create sim ~domain ?(trace = Trace.null) config ~device =
   let t =
     {
       sim;
-      config;
       device;
       trace;
-      ring =
-        Ring_buffer.create
-          ~sector_size:(Storage.Block.info device).Storage.Block.sector_size
-          ~capacity_bytes:config.buffer_bytes;
+      state =
+        Ring_state.create config
+          ~sector_size:(Storage.Block.info device).Storage.Block.sector_size;
       arrived = Resource.Condition.create sim;
       space_freed = Resource.Condition.create sim;
       empty = Resource.Condition.create sim;
-      accepting = true;
       draining = false;
       acked_bytes = 0;
       acked_writes = 0;
       drained_bytes = 0;
       drain_writes = 0;
-      max_buffered = 0;
       stalls = 0;
       replicate = None;
-      push_seq = 0;
-      admitted_bytes = 0;
       journal = Journal.recording ();
       metrics =
         Option.map
@@ -132,11 +160,17 @@ let create sim ~domain ?(trace = Trace.null) config ~device =
   ignore (Hypervisor.Domain.spawn domain ~name:"rapilog-drain" (drainer t));
   t
 
-let config t = t.config
+let config t = Ring_state.config t.state
+let accepting t = Ring_state.accepting t.state
+
+(* Admission totals are the ring's own push counters. *)
+let admitted_bytes t = Ring_buffer.pushed_bytes t.state.ring
+let admitted_writes t = Ring_buffer.pushes t.state.ring
+let max_buffered_bytes t = Ring_buffer.max_bytes_used t.state.ring
 let device t = t.device
 
 let copy_span t len =
-  Time.span_of_float_sec (float_of_int len /. t.config.copy_bandwidth)
+  Time.span_of_float_sec (float_of_int len /. (config t).copy_bandwidth)
 
 let block_forever () = Process.suspend (fun (_ : unit Process.resumer) -> ())
 
@@ -148,7 +182,7 @@ let block_forever () = Process.suspend (fun (_ : unit Process.resumer) -> ())
    checks exactly this property, and caught the one-sided version of
    this code that checked admission only on entry. *)
 let accept_write t ~lba ~data =
-  if not t.accepting then
+  if not (accepting t) then
     (* Power is failing: no new durability promises. The guest is about
        to lose power anyway; its process parks here. *)
     block_forever ()
@@ -160,25 +194,22 @@ let accept_write t ~lba ~data =
     (match t.metrics with
     | Some m -> Metrics.Span.finish m.m_copy t.sim entered
     | None -> ());
-    if not t.accepting then block_forever ();
+    if not (accepting t) then block_forever ();
     let stamp = Time.to_ns (Sim.now t.sim) in
-    while not (Ring_buffer.try_push t.ring ~stamp ~lba ~data) do
+    while not (Ring_state.admit t.state ~stamp ~lba ~data) do
       t.stalls <- t.stalls + 1;
       (match t.metrics with
       | Some m -> Metrics.Counter.incr m.m_stalls
       | None -> ());
       Trace.emit t.trace t.sim ~tag:"backpressure" "buffer full (%d bytes)"
-        (Ring_buffer.bytes_used t.ring);
+        (Ring_state.bytes_used t.state);
       Resource.Condition.wait t.space_freed;
-      if not t.accepting then block_forever ()
+      if not (accepting t) then block_forever ()
     done;
-    if not t.accepting then block_forever ();
+    if not (accepting t) then block_forever ();
     (match t.journal with
     | Some j -> Journal.push j t.sim ~device:(journal_device t) ~lba ~data
     | None -> ());
-    t.push_seq <- t.push_seq + 1;
-    t.admitted_bytes <- t.admitted_bytes + String.length data;
-    t.max_buffered <- max t.max_buffered (Ring_buffer.bytes_used t.ring);
     (match t.replicate with
     | None -> ()
     | Some hook ->
@@ -187,15 +218,15 @@ let accept_write t ~lba ~data =
            failed during the wait, the copy is safe on both sides but
            the acknowledgement must not happen. *)
         Resource.Condition.signal t.arrived;
-        hook ~seq:t.push_seq ~lba ~data;
-        if not t.accepting then block_forever ());
+        hook ~seq:(admitted_writes t) ~lba ~data;
+        if not (accepting t) then block_forever ());
     t.acked_bytes <- t.acked_bytes + String.length data;
     t.acked_writes <- t.acked_writes + 1;
     (match t.metrics with
     | Some m ->
         Metrics.Span.finish m.m_admission t.sim entered;
         Metrics.Gauge.set m.m_buffered
-          (float_of_int (Ring_buffer.bytes_used t.ring))
+          (float_of_int (Ring_state.bytes_used t.state))
     | None -> ());
     Resource.Condition.signal t.arrived
   end
@@ -218,16 +249,16 @@ let backend t =
   }
 
 let notify_power_fail t =
-  t.accepting <- false;
+  Ring_state.power_fail t.state;
   Trace.emit t.trace t.sim ~tag:"power-fail"
-    "admission closed; %d bytes to drain" (Ring_buffer.bytes_used t.ring)
+    "admission closed; %d bytes to drain" (Ring_state.bytes_used t.state)
 
 let attach_power t power =
   Power.Power_domain.on_power_fail power (fun ~window:_ -> notify_power_fail t);
   Power.Power_domain.register_device power t.device
 
 let quiesce t =
-  while not (Ring_buffer.is_empty t.ring && not t.draining) do
+  while not (Ring_state.is_empty t.state && not t.draining) do
     Resource.Condition.wait t.empty
   done
 
@@ -237,11 +268,8 @@ let set_replication t hook =
   | None -> ());
   t.replicate <- Some hook
 
-let accepting t = t.accepting
-let buffered_bytes t = Ring_buffer.bytes_used t.ring
-let admitted_bytes t = t.admitted_bytes
-let admitted_writes t = t.push_seq
-let max_buffered_bytes t = t.max_buffered
+let ring_snapshot t = Ring_state.copy t.state
+let buffered_bytes t = Ring_state.bytes_used t.state
 let acked_bytes t = t.acked_bytes
 let drained_bytes t = t.drained_bytes
 let acked_writes t = t.acked_writes
@@ -250,4 +278,4 @@ let backpressure_stalls t = t.stalls
 
 let worst_case_flush t ~drain_bandwidth =
   assert (drain_bandwidth > 0.);
-  Time.span_of_float_sec (float_of_int t.max_buffered /. drain_bandwidth)
+  Time.span_of_float_sec (float_of_int (max_buffered_bytes t) /. drain_bandwidth)

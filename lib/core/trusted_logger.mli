@@ -13,12 +13,8 @@
       isolation is what makes "the logger itself cannot crash or be
       corrupted" a defensible assumption, modelled here by fault-contained
       domains).
-    - {b power cut}: the logger is notified at the instant of the failure
-      and stops admitting new writes; the already-buffered data is drained
-      within the PSU hold-up window. The contract holds iff buffered
-      bytes / drain bandwidth fits in the window — which is why the
-      buffer is kept small and admission applies backpressure when it
-      fills. {!worst_case_flush} exposes the budget check.
+    - {b power cut}: the logger is notified at the instant of the
+      failure; {!Ring_state.power_fail} states what it then guarantees.
 
     When the buffer is full, {!backend} writes block (backpressure) —
     performance degrades to the device's streaming bandwidth, never to
@@ -32,6 +28,37 @@ type config = {
 
 val default_config : config
 (** 8 MiB buffer, 1 GB/s copy, 512 KiB drain writes. *)
+
+(** The logger's ring policy as one state type — admission, the next
+    coalesced drain batch, and what a power-fail does to the ring. The
+    live logger runs on it; the journal crash sweep drains a copy of it
+    after a synthesised cut, so both follow this one definition. *)
+module Ring_state : sig
+  type t
+
+  val create : config -> sector_size:int -> t
+  val copy : t -> t
+  val bytes_used : t -> int
+
+  val admit : ?stamp:int -> t -> lba:int -> data:string -> bool
+  (** Queue a whole-sector write ({!Ring_buffer.try_push}); [false] when
+      admission is closed or the entry does not fit. *)
+
+  val next_batch : t -> Ring_buffer.entry option
+  (** The next coalesced batch of at most [drain_max_bytes]. *)
+
+  val power_fail : t -> unit
+  (** The power-fail contract: admission closes, and every byte already
+      buffered stays in the ring for the drain. The drain then races the
+      PSU hold-up window, so the contract holds iff buffered bytes /
+      drain bandwidth fits in it — which is why the buffer is kept small
+      and admission applies backpressure when it fills
+      ({!worst_case_flush} is the budget check). *)
+
+  val drain : t -> write:(stamp:int -> lba:int -> data:string -> bool) -> unit
+  (** Hand batches to [write] (with the batch head's push stamp) until
+      the ring is empty or [write] returns [false]: the device died. *)
+end
 
 type t
 
@@ -57,7 +84,8 @@ val backend : t -> Hypervisor.Virtio_blk.backend
     of acked data is the logger's contract, not the guest's problem). *)
 
 val notify_power_fail : t -> unit
-(** Stop admitting writes; the drain races the hold-up window. *)
+(** {!Ring_state.power_fail} on the live ring; the drain then races the
+    hold-up window. *)
 
 val attach_power : t -> Power.Power_domain.t -> unit
 (** Register {!notify_power_fail} with the power domain and the physical
@@ -79,6 +107,9 @@ val set_replication : t -> (seq:int -> lba:int -> data:string -> unit) -> unit
 
 val accepting : t -> bool
 (** [false] once {!notify_power_fail} ran. *)
+
+val ring_snapshot : t -> Ring_state.t
+(** A copy of the live ring state. *)
 
 val buffered_bytes : t -> int
 (** Current buffer occupancy. *)

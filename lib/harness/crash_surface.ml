@@ -1,4 +1,5 @@
 open Desim
+module Ring_state = Rapilog.Trusted_logger.Ring_state
 
 type kind = Os_crash | Power_cut | Power_cut_tight | Machine_loss
 
@@ -70,19 +71,11 @@ type enumeration = {
   e_candidates : (int * int) array;
 }
 
-let enumerate config kind =
-  if config.stride < 1 then invalid_arg "Crash_surface: stride must be >= 1";
-  let built = Scenario.build (effective_scenario config kind) in
+(* Run [built] until the crash window closes, counting every event
+   boundary inside it. Returns the enumeration and whether the window
+   closed before the simulation ran out of events. *)
+let walk_window config kind built track =
   let sim = built.Scenario.sim in
-  let track = Driver.make_tracking () in
-  (* The crash replays run with the invariants monitor attached, and the
-     monitor schedules its own poll events — so the enumeration replay
-     must carry it too, or event indices would name different instants
-     in the two replays. The monitor is simply abandoned with the rest
-     of the simulation when enumeration stops. *)
-  let (_ : Rapilog.Invariants.t list) =
-    List.map (Rapilog.Invariants.attach sim) (Scenario.all_loggers built)
-  in
   let window = ref None in
   Driver.spawn_loader built track ~after_load:(fun () ->
       let ws = Time.add (Sim.now sim) config.window_start in
@@ -90,13 +83,13 @@ let enumerate config kind =
       Driver.spawn_clients built track);
   let boundaries = ref 0 in
   let candidates = ref [] in
-  let stop = ref false in
-  while (not !stop) && Sim.step sim do
+  let closed = ref false in
+  while (not !closed) && Sim.step sim do
     match !window with
     | None -> ()
     | Some (ws, we) ->
         let now = Sim.now sim in
-        if Time.(we <= now) then stop := true
+        if Time.(we <= now) then closed := true
         else if Time.(ws <= now) then begin
           (* The boundary after the [n]-th executed event: the clock
              stands at that event's time and the next event has not run.
@@ -108,18 +101,32 @@ let enumerate config kind =
           incr boundaries
         end
   done;
-  let ws, we =
-    match !window with
-    | Some (ws, we) -> (Time.to_ns ws, Time.to_ns we)
-    | None -> failwith "Crash_surface.enumerate: load phase never completed"
+  match !window with
+  | None -> failwith "Crash_surface: load phase never completed"
+  | Some (ws, we) ->
+      ( {
+          e_kind = kind;
+          e_window_start_ns = Time.to_ns ws;
+          e_window_end_ns = Time.to_ns we;
+          e_boundaries = !boundaries;
+          e_candidates = Array.of_list (List.rev !candidates);
+        },
+        !closed )
+
+let enumerate config kind =
+  if config.stride < 1 then invalid_arg "Crash_surface: stride must be >= 1";
+  let built = Scenario.build (effective_scenario config kind) in
+  (* The crash replays run with the invariants monitor attached, and the
+     monitor schedules its own poll events — so the enumeration replay
+     must carry it too, or event indices would name different instants
+     in the two replays. The monitor is simply abandoned with the rest
+     of the simulation when enumeration stops. *)
+  let (_ : Rapilog.Invariants.t list) =
+    List.map
+      (Rapilog.Invariants.attach built.Scenario.sim)
+      (Scenario.all_loggers built)
   in
-  {
-    e_kind = kind;
-    e_window_start_ns = ws;
-    e_window_end_ns = we;
-    e_boundaries = !boundaries;
-    e_candidates = Array.of_list (List.rev !candidates);
-  }
+  fst (walk_window config kind built (Driver.make_tracking ()))
 
 type verdict = {
   v_kind : kind;
@@ -164,6 +171,22 @@ let media_digest ~log ~data =
   in
   fold_device (fold_device 17 log) data
 
+(* Replay to the boundary after event [event_index], cross-checking
+   replay determinism: the boundary enumerated in one replay must fall
+   at the identical instant in this one. *)
+let run_to_boundary sim ~event_index ~at_ns =
+  if not (Sim.run_to_event sim event_index) then
+    failwith
+      (Printf.sprintf "Crash_surface: event boundary %d beyond simulation end"
+         event_index);
+  let now_ns = Time.to_ns (Sim.now sim) in
+  if now_ns <> at_ns then
+    failwith
+      (Printf.sprintf
+         "Crash_surface: replay diverged at event %d: enumerated %d ns, \
+          replayed %d ns"
+         event_index at_ns now_ns)
+
 let run_point config kind ~event_index ~at_ns =
   let built = Scenario.build (effective_scenario config kind) in
   let sim = built.Scenario.sim in
@@ -178,19 +201,7 @@ let run_point config kind ~event_index ~at_ns =
   let stop_monitor () = List.iter Rapilog.Invariants.stop monitors in
   Driver.spawn_loader built track ~after_load:(fun () ->
       Driver.spawn_clients built track);
-  if not (Sim.run_to_event sim event_index) then
-    failwith
-      (Printf.sprintf "Crash_surface: event boundary %d beyond simulation end"
-         event_index);
-  (* Replay-determinism cross-check: the boundary enumerated in one
-     replay must fall at the identical instant in this one. *)
-  let now_ns = Time.to_ns (Sim.now sim) in
-  if now_ns <> at_ns then
-    failwith
-      (Printf.sprintf
-         "Crash_surface: replay diverged at event %d: enumerated %d ns, \
-          replayed %d ns"
-         event_index at_ns now_ns);
+  run_to_boundary sim ~event_index ~at_ns;
   let buffered_at_cut =
     match Scenario.all_loggers built with
     | [] -> -1
@@ -441,17 +452,7 @@ let run_pair_point config ~schedule ~first_event ~first_ns ~second_ns ~node =
   let stop_monitor () = Option.iter Rapilog.Invariants.stop monitor in
   Driver.spawn_loader built track ~after_load:(fun () ->
       Driver.spawn_clients built track);
-  if not (Sim.run_to_event sim first_event) then
-    failwith
-      (Printf.sprintf "Crash_surface: event boundary %d beyond simulation end"
-         first_event);
-  let now_ns = Time.to_ns (Sim.now sim) in
-  if now_ns <> first_ns then
-    failwith
-      (Printf.sprintf
-         "Crash_surface: replay diverged at event %d: enumerated %d ns, \
-          replayed %d ns"
-         first_event first_ns now_ns);
+  run_to_boundary sim ~event_index:first_event ~at_ns:first_ns;
   let kill_primary () =
     Hypervisor.Vmm.crash_guest built.Scenario.vmm;
     Power.Power_domain.lose built.Scenario.power;
@@ -641,12 +642,12 @@ let journal_supported (scenario : Scenario.config) =
      | Scenario.Disk _ | Scenario.Nvme _ -> true
      | Scenario.Flash _ -> false
 
-(* The log-device timing the power-cut synthesis re-derives drain
-   writes with: the same pure [write_timeline] arithmetic the live
-   device executes, abstracted over the two journal-capable models. The
-   disk's timeline depends on the head position; the NVMe's only on the
-   clock — the [head] threaded through the re-drain loop is the head
-   track for a disk and always 0 for NVMe. *)
+(* The log-device timing the power-cut synthesis gives each drain write:
+   the same pure [write_timeline] arithmetic the live device executes,
+   abstracted over the two journal-capable models. The disk's timeline
+   depends on the head position; the NVMe's only on the clock — the
+   [head] threaded through the post-cut drain is the head track for a
+   disk and always 0 for NVMe. *)
 type log_timing =
   | Hdd_timing of Storage.Hdd.config
   | Nvme_timing of Storage.Nvme.config
@@ -691,8 +692,7 @@ type prep = {
   p_journal : Journal.t;
   p_timing : log_timing;
   p_sector_size : int;
-  p_buffer_bytes : int;
-  p_drain_max : int;
+  p_logger : Rapilog.Trusted_logger.config;  (* the replica ring's policy *)
   p_window_ns : int;  (* PSU hold-up of the effective configuration *)
   p_wal_config : Dbms.Wal.config;
   p_pool_config : Dbms.Buffer_pool.config;
@@ -740,13 +740,24 @@ let member_slot members endpoint =
   in
   go 0
 
-let segments_of prep ~lba ~sectors =
-  if prep.p_chunk_sectors = 0 then
+(* The stripe geometry of the data volume; [chunk_sectors = 0] is an
+   unstriped single device. *)
+let segments_of ~members ~chunk_sectors ~lba ~sectors =
+  if chunk_sectors = 0 then
     [ { Storage.Stripe.member = 0; member_lba = lba; global_off = lba; sectors } ]
+  else Storage.Stripe.plan ~members ~chunk_sectors ~lba ~sectors
+
+let prep_segments prep =
+  segments_of ~members:(Array.length prep.p_members)
+    ~chunk_sectors:prep.p_chunk_sectors
+
+(* A member write's sector ranges in the data volume's address space. *)
+let iter_global_ranges prep ~member ~lba ~sectors f =
+  if prep.p_chunk_sectors = 0 then (if sectors > 0 then f lba sectors)
   else
-    Storage.Stripe.plan
+    Storage.Stripe.iter_global_ranges
       ~members:(Array.length prep.p_members)
-      ~chunk_sectors:prep.p_chunk_sectors ~lba ~sectors
+      ~chunk_sectors:prep.p_chunk_sectors ~member ~lba ~sectors f
 
 (* Build the pairing arrays with one pass over the journal, asserting
    the FIFO disciplines they encode. *)
@@ -810,7 +821,7 @@ let pair_journal prep_partial journal =
               Queue.push
                 (seg.Storage.Stripe.member_lba, seg.Storage.Stripe.sectors, pos)
                 expected.(seg.Storage.Stripe.member))
-            (segments_of p ~lba:(Journal.b journal pos)
+            (prep_segments p ~lba:(Journal.b journal pos)
                ~sectors:(Journal.c journal pos))
         else assert false
     | Journal.Write_start ->
@@ -901,35 +912,10 @@ let enumerate_journal config kind =
   let sim = built.Scenario.sim in
   let track = Driver.make_tracking () in
   let monitor = Option.map (Rapilog.Invariants.attach sim) built.Scenario.logger in
-  let window = ref None in
-  Driver.spawn_loader built track ~after_load:(fun () ->
-      let ws = Time.add (Sim.now sim) config.window_start in
-      window := Some (ws, Time.add ws config.window_length);
-      Driver.spawn_clients built track);
-  let boundaries = ref 0 in
-  let candidates = ref [] in
-  let cut_len = ref None in
-  while !cut_len = None && Sim.step sim do
-    match !window with
-    | None -> ()
-    | Some (ws, we) ->
-        let now = Sim.now sim in
-        if Time.(we <= now) then cut_len := Some (Journal.length journal)
-        else if Time.(ws <= now) then begin
-          if !boundaries mod config.stride = 0 then
-            candidates :=
-              (Sim.events_executed sim, Time.to_ns now) :: !candidates;
-          incr boundaries
-        end
-  done;
-  let cut_len =
-    match !cut_len with
-    | Some n -> n
-    | None -> failwith "Crash_surface.enumerate_journal: window never closed"
-  in
-  let ws, we =
-    match !window with Some (ws, we) -> (ws, we) | None -> assert false
-  in
+  let enum, closed = walk_window config kind built track in
+  if not closed then
+    failwith "Crash_surface.enumerate_journal: window never closed";
+  let cut_len = Journal.length journal in
   let log_dev = Storage.Block.journal_id built.Scenario.log_physical in
   let log_port = Storage.Block.journal_id built.Scenario.log_attached in
   let data_port = Storage.Block.journal_id built.Scenario.data_attached in
@@ -942,12 +928,6 @@ let enumerate_journal config kind =
   let n_members = Array.length members in
   let pops_due = ref 0 and log_submits_due = ref 0 in
   let member_due = Array.make n_members 0 in
-  let plan_segments ~lba ~sectors =
-    if chunk_sectors = 0 then
-      [ { Storage.Stripe.member = 0; member_lba = lba; global_off = lba; sectors } ]
-    else
-      Storage.Stripe.plan ~members:n_members ~chunk_sectors ~lba ~sectors
-  in
   for pos = 0 to cut_len - 1 do
     match Journal.kind journal pos with
     | Journal.Pop -> incr pops_due
@@ -959,8 +939,8 @@ let enumerate_journal config kind =
             (fun seg ->
               member_due.(seg.Storage.Stripe.member) <-
                 member_due.(seg.Storage.Stripe.member) + 1)
-            (plan_segments ~lba:(Journal.b journal pos)
-               ~sectors:(Journal.c journal pos))
+            (segments_of ~members:n_members ~chunk_sectors
+               ~lba:(Journal.b journal pos) ~sectors:(Journal.c journal pos))
     | _ -> ()
   done;
   (* Supply side, maintained incrementally over the grace period. *)
@@ -985,7 +965,7 @@ let enumerate_journal config kind =
     && !pushes >= !log_submits_due
     && Array.for_all2 ( <= ) member_due member_completes
   in
-  let deadline = Time.add we grace_bound in
+  let deadline = Time.add (Time.of_ns enum.e_window_end_ns) grace_bound in
   while not (settled ()) do
     if Time.(deadline < Sim.now sim) then
       failwith "Crash_surface.enumerate_journal: run did not settle in grace";
@@ -996,15 +976,6 @@ let enumerate_journal config kind =
     if !steps = 0 && not (settled ()) then
       failwith "Crash_surface.enumerate_journal: simulation ended unsettled"
   done;
-  let enum =
-    {
-      e_kind = kind;
-      e_window_start_ns = Time.to_ns ws;
-      e_window_end_ns = Time.to_ns we;
-      e_boundaries = !boundaries;
-      e_candidates = Array.of_list (List.rev !candidates);
-    }
-  in
   let violations_ns =
     match monitor with
     | None -> [||]
@@ -1066,10 +1037,7 @@ let enumerate_journal config kind =
       p_journal = journal;
       p_timing = timing;
       p_sector_size = sector_size;
-      p_buffer_bytes =
-        effective.Scenario.logger.Rapilog.Trusted_logger.buffer_bytes;
-      p_drain_max =
-        effective.Scenario.logger.Rapilog.Trusted_logger.drain_max_bytes;
+      p_logger = effective.Scenario.logger;
       p_window_ns =
         (* Machine loss has no residual-energy window: the devices are
            dead at the boundary instant itself. *)
@@ -1100,7 +1068,7 @@ let enumerate_journal config kind =
   pair_journal prep_partial journal
 
 (* The evolving image of one kind's reference run at a boundary: the
-   durable media as of the boundary, the trusted-buffer replica, the
+   durable media as of the boundary, the logger's ring state, the
    client-side model, and the in-flight bookkeeping synthesis needs.
    Strictly monotone — a cursor only ever advances. *)
 type cursor = {
@@ -1111,7 +1079,7 @@ type cursor = {
       (* incremental recovery cache over the base image; fed every base
          durable write, consulted per point instead of a full pass.
          [None] for multi-stream sweeps (full recovery per point). *)
-  replica : Rapilog.Ring_buffer.t;
+  replica : Ring_state.t;
   model : (int, string) Hashtbl.t;
   (* Acknowledged txids as a sorted array: acks arrive near-ascending,
      and the per-point audit wants a merge walk, not a set build. *)
@@ -1158,9 +1126,7 @@ let cursor_create prep =
         (fun shared ->
           Dbms.Recovery.Incremental.create shared ~data_base:(data_base ()))
         prep.p_shared;
-    replica =
-      Rapilog.Ring_buffer.create ~sector_size:prep.p_sector_size
-        ~capacity_bytes:prep.p_buffer_bytes;
+    replica = Ring_state.create prep.p_logger ~sector_size:prep.p_sector_size;
     model = Hashtbl.create 4096;
     acked = Array.make 1024 0;
     n_acked = 0;
@@ -1172,26 +1138,6 @@ let cursor_create prep =
     member_completes_seen = Array.make n_members 0;
     member_expected = Array.make n_members 0;
   }
-
-(* A member write's sector ranges in the data volume's (striped) address
-   space — the inverse of {!Storage.Stripe.plan}'s geometry, split at
-   chunk boundaries. *)
-let iter_global_ranges prep ~member ~lba ~sectors f =
-  if sectors > 0 then begin
-    if prep.p_chunk_sectors = 0 then f lba sectors
-    else begin
-      let members = Array.length prep.p_members in
-      let chunk = prep.p_chunk_sectors in
-      let l = ref lba and remaining = ref sectors in
-      while !remaining > 0 do
-        let within = !l mod chunk in
-        let here = min !remaining (chunk - within) in
-        f (((((!l / chunk) * members) + member) * chunk) + within) here;
-        l := !l + here;
-        remaining := !remaining - here
-      done
-    end
-  end
 
 let cursor_ack cur txid =
   if cur.n_acked = Array.length cur.acked then begin
@@ -1208,9 +1154,10 @@ let cursor_ack cur txid =
   cur.n_acked <- cur.n_acked + 1
 
 (* Fold in every journal record up to and including event [boundary].
-   The replica re-executes the ring-buffer operations the logger
-   performed, asserting each matches the journaled outcome — a live
-   differential check of the reconstruction against the reference run. *)
+   The replica re-executes the logger's ring operations — admission and
+   the drain's batch choice, through {!Rapilog.Trusted_logger.Ring_state}
+   — asserting each matches the journaled outcome: a live differential
+   check of the reconstruction against the reference run. *)
 let cursor_advance prep cur ~boundary =
   let j = prep.p_journal in
   let len = Journal.length j in
@@ -1247,20 +1194,17 @@ let cursor_advance prep cur ~boundary =
     | Journal.Push ->
         let lba = Journal.b j pos in
         let data = Journal.payload j pos in
-        let ok = Rapilog.Ring_buffer.try_push cur.replica ~lba ~data in
+        let ok = Ring_state.admit cur.replica ~lba ~data in
         assert ok;
         Option.iter
           (fun inc -> Dbms.Recovery.Incremental.note_push inc ~lba ~data)
           cur.inc;
         cur.pushes_seen <- cur.pushes_seen + 1
     | Journal.Pop ->
-        (match
-           Rapilog.Ring_buffer.pop_coalesced cur.replica
-             ~max_bytes:prep.p_drain_max
-         with
-        | Some entry ->
-            assert (entry.Rapilog.Ring_buffer.lba = Journal.b j pos);
-            assert (String.length entry.Rapilog.Ring_buffer.data = Journal.c j pos)
+        (match Ring_state.next_batch cur.replica with
+        | Some { lba; data } ->
+            assert (lba = Journal.b j pos);
+            assert (String.length data = Journal.c j pos)
         | None -> assert false);
         cur.pops_seen <- cur.pops_seen + 1
     | Journal.Submit ->
@@ -1271,7 +1215,7 @@ let cursor_advance prep cur ~boundary =
             (fun seg ->
               cur.member_expected.(seg.Storage.Stripe.member) <-
                 cur.member_expected.(seg.Storage.Stripe.member) + 1)
-            (segments_of prep ~lba:(Journal.b j pos)
+            (prep_segments prep ~lba:(Journal.b j pos)
                ~sectors:(Journal.c j pos))
     | Journal.Ack ->
         cursor_ack cur a;
@@ -1320,7 +1264,6 @@ type sink = {
   sk_media : Storage.Block.Media.t;
   sk_sector_size : int;
   mutable sk_writes : (int * string * int * bool) list;  (* newest-first *)
-  mutable sk_count : int;
 }
 
 let sink_over base =
@@ -1328,26 +1271,23 @@ let sink_over base =
     sk_media = Storage.Block.Media.overlay base;
     sk_sector_size = Storage.Block.Media.sector_size base;
     sk_writes = [];
-    sk_count = 0;
   }
-
-let sink_write s ~trusted ~lba ~data =
-  Storage.Block.Media.write s.sk_media ~lba ~data;
-  s.sk_writes <-
-    (lba, data, String.length data / s.sk_sector_size, trusted) :: s.sk_writes;
-  s.sk_count <- s.sk_count + 1
 
 let sink_write_prefix s ~trusted ~lba ~data ~sectors =
   Storage.Block.Media.write_prefix s.sk_media ~lba ~data ~sectors;
-  s.sk_writes <- (lba, data, sectors, trusted) :: s.sk_writes;
-  s.sk_count <- s.sk_count + 1
+  s.sk_writes <- (lba, data, sectors, trusted) :: s.sk_writes
+
+let sink_write s ~trusted ~lba ~data =
+  sink_write_prefix s ~trusted ~lba ~data
+    ~sectors:(String.length data / s.sk_sector_size)
 
 (* OS crash at [boundary]: the guest dies, the trusted side survives
-   with power. The pending drain write completes, everything buffered
-   drains (coalescing affects only timing, not final media), the one
-   possibly-in-the-gap admission completes in the surviving backend, and
-   every data write already submitted to the backend reaches media in
-   full. *)
+   with power and admission stays open. The pending drain write
+   completes, a copy of the logger's ring drains to empty through
+   {!Ring_state.drain} (no window closes, so timing is irrelevant), the
+   one possibly-in-the-gap admission completes in the surviving backend,
+   and every data write already submitted to the backend reaches media
+   in full. *)
 let synth_os_crash prep cur ~boundary ~log_sink ~member_sinks =
   let j = prep.p_journal in
   if cur.pops_seen > cur.log_completes_seen then begin
@@ -1358,9 +1298,9 @@ let synth_os_crash prep cur ~boundary ~log_sink ~member_sinks =
     sink_write log_sink ~trusted:false ~lba:(Journal.b j cp)
       ~data:(Journal.payload j cp)
   end;
-  Rapilog.Ring_buffer.iter cur.replica (fun entry ->
-      sink_write log_sink ~trusted:true ~lba:entry.Rapilog.Ring_buffer.lba
-        ~data:entry.Rapilog.Ring_buffer.data);
+  Ring_state.drain (Ring_state.copy cur.replica) ~write:(fun ~stamp:_ ~lba ~data ->
+      sink_write log_sink ~trusted:true ~lba ~data;
+      true);
   (* Post-boundary admissions, in push order: submissions already at the
      logger whose admission had not fired at the boundary. A single WAL
      stream holds at most one in the gap (the force mutex); with S
@@ -1410,12 +1350,13 @@ let write_fate ~started_at_boundary ~s ~c ~dead =
 let write_fate_instant ~started_at_boundary =
   if started_at_boundary then Torn else Dropped
 
-(* Power cut at [boundary]: admission closes at the cut and the guest
-   halts (the power-fail interrupt), so durable state evolves only
-   through the trusted drain and the data writes already submitted —
-   each racing the PSU window. Drain timing after the boundary is
-   re-derived with the device model's pure [write_timeline], the same
-   arithmetic the live device executes. *)
+(* Power cut at [boundary]: the guest halts (the power-fail interrupt),
+   so durable state evolves only through the trusted drain and the data
+   writes already submitted — each racing the PSU window. What the
+   logger does at the cut is its own code: a copy of the ring takes
+   {!Ring_state.power_fail}, then {!Ring_state.drain}, whose device
+   writes are timed by the model's pure [write_timeline] (the arithmetic
+   the live device executes) and die with the window. *)
 let synth_power_cut prep cur ~boundary ~b_time ~log_sink ~member_sinks =
   let j = prep.p_journal in
   let tears = { t_rngs = [] } in
@@ -1455,51 +1396,37 @@ let synth_power_cut prep cur ~boundary ~b_time ~log_sink ~member_sinks =
     in
     resume := Some (b_time, head)
   end;
+  let ring = Ring_state.copy cur.replica in
+  Ring_state.power_fail ring;
   (match !resume with
   | None -> ()  (* the pending write tore or dropped: the device is dead *)
   | Some (start_ns, head) ->
-      (* Re-drain what remains of the buffer, batch by batch, each write
-         chained at the previous completion — exactly the drainer's loop,
-         with timing from the shared pure model. *)
-      let ring =
-        Rapilog.Ring_buffer.create ~sector_size:prep.p_sector_size
-          ~capacity_bytes:prep.p_buffer_bytes
-      in
-      Rapilog.Ring_buffer.iter cur.replica (fun entry ->
-          let ok =
-            Rapilog.Ring_buffer.try_push ring ~lba:entry.Rapilog.Ring_buffer.lba
-              ~data:entry.Rapilog.Ring_buffer.data
-          in
-          assert ok);
+      (* Each batch is submitted at the previous one's completion: the
+         drainer has one write in flight. *)
       let cursor_ns = ref start_ns and head_track = ref head in
-      let running = ref true in
-      while !running do
-        match
-          Rapilog.Ring_buffer.pop_coalesced ring ~max_bytes:prep.p_drain_max
-        with
-        | None -> running := false
-        | Some { Rapilog.Ring_buffer.lba; data } ->
-            let sectors = String.length data / prep.p_sector_size in
-            let start_ns, complete_ns, track =
-              timing_write_timeline prep.p_timing ~now_ns:!cursor_ns
-                ~head:!head_track ~lba ~sectors
-            in
-            if complete_ns < dead then begin
-              sink_write log_sink ~trusted:true ~lba ~data;
-              cursor_ns := complete_ns;
-              head_track := track
-            end
-            else begin
-              if start_ns < dead then begin
-                let persisted =
-                  tear_draw prep tears ~endpoint:prep.p_log_dev ~sectors
-                in
-                sink_write_prefix log_sink ~trusted:true ~lba ~data
-                  ~sectors:persisted
-              end;
-              running := false
-            end
-      done);
+      Ring_state.drain ring
+        ~write:(fun ~stamp:_ ~lba ~data ->
+          let sectors = String.length data / prep.p_sector_size in
+          let start_ns, complete_ns, track =
+            timing_write_timeline prep.p_timing ~now_ns:!cursor_ns
+              ~head:!head_track ~lba ~sectors
+          in
+          if complete_ns < dead then begin
+            sink_write log_sink ~trusted:true ~lba ~data;
+            cursor_ns := complete_ns;
+            head_track := track;
+            true
+          end
+          else begin
+            if start_ns < dead then begin
+              let persisted =
+                tear_draw prep tears ~endpoint:prep.p_log_dev ~sectors
+              in
+              sink_write_prefix log_sink ~trusted:true ~lba ~data
+                ~sectors:persisted
+            end;
+            false
+          end));
   (* Data writes already submitted race the window on their journaled
      schedule: a member serves FIFO, and nothing submitted after the
      boundary exists in the crash world to run ahead of them. A torn
@@ -1550,7 +1477,7 @@ let reconstruct_point config prep cur ~event_index ~at_ns =
   | Power_cut | Power_cut_tight | Machine_loss ->
       (* Machine loss is a power cut with a zero window ([p_window_ns]
          is 0 and fates are instant): the pending drain write tears, the
-         re-drain loop writes nothing, queued data writes vanish. *)
+         post-cut drain writes nothing, queued data writes vanish. *)
       synth_power_cut prep cur ~boundary:event_index ~b_time:at_ns ~log_sink
         ~member_sinks);
   let frozen_log = Storage.Block.of_media ~model:"journal-log" log_sink.sk_media in
@@ -1604,7 +1531,7 @@ let reconstruct_point config prep cur ~event_index ~at_ns =
     v_state_exact = audit.Audit.state_exact;
     v_diff_count = audit.Audit.diff_count;
     v_invariant_violations = invariant_violations;
-    v_buffered_at_cut = Rapilog.Ring_buffer.bytes_used cur.replica;
+    v_buffered_at_cut = Ring_state.bytes_used cur.replica;
     v_media_crc =
       (if config.media_digests then media_digest ~log:frozen_log ~data:frozen_data
        else -1);
@@ -1639,39 +1566,29 @@ let sweep_journal ?jobs config =
      critical path. Results are re-emitted below in canonical
      kind-major ascending order. *)
   let tasks =
-    List.concat_map
-      (fun prep ->
-        let n = Array.length prep.p_enum.e_candidates in
-        List.rev_map (fun (lo, hi) -> (prep, lo, hi)) (chunk_ranges n))
-      preps
+    List.concat
+      (List.mapi
+         (fun order prep ->
+           let n = Array.length prep.p_enum.e_candidates in
+           List.rev_map (fun (lo, hi) -> (order, prep, lo, hi)) (chunk_ranges n))
+         preps)
   in
   let chunk_results =
     Parallel.map ?jobs
-      (fun (prep, lo, hi) ->
+      (fun (order, prep, lo, hi) ->
         let cur = cursor_create prep in
         let out = ref [] in
         for i = lo to hi - 1 do
           let event_index, at_ns = prep.p_enum.e_candidates.(i) in
           out := reconstruct_point config prep cur ~event_index ~at_ns :: !out
         done;
-        (prep.p_kind, lo, List.rev !out))
+        ((order, lo), List.rev !out))
       tasks
-  in
-  let kind_order kind =
-    let rec go i = function
-      | [] -> assert false
-      | k :: _ when k = kind -> i
-      | _ :: rest -> go (i + 1) rest
-    in
-    go 0 config.kinds
   in
   let verdicts =
     chunk_results
-    |> List.stable_sort (fun (ka, la, _) (kb, lb, _) ->
-           match compare (kind_order ka) (kind_order kb) with
-           | 0 -> compare la lb
-           | c -> c)
-    |> List.concat_map (fun (_, _, vs) -> vs)
+    |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
+    |> List.concat_map snd
   in
   assemble config
     ~boundaries_by_kind:

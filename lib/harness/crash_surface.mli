@@ -257,7 +257,10 @@ val sweep_pairs :
     enabled, then reconstructs every boundary's post-crash media
     incrementally from the journal — applying each durable delta exactly
     once across the whole sweep — and runs only recovery plus the audit
-    per point. Soundness (determinism of the reference run, completeness
+    per point. The trusted logger's part is not modelled: a
+    {!Rapilog.Trusted_logger.Ring_state} replays the journaled pushes
+    and pops, and at each point a copy of it takes the logger's own
+    power-fail and drain. Soundness (determinism of the reference run, completeness
     of the journaled deltas, and the tie-break rules for writes racing
     the PSU window) is documented in the implementation and certified
     empirically by the differential oracle in the test suite and bench:
@@ -265,8 +268,8 @@ val sweep_pairs :
     bit-identical to {!run_point}'s. *)
 
 val journal_supported : Scenario.config -> bool
-(** The journal reconstruction models the Rapilog drain path onto
-    rotational devices with a dedicated log disk; other modes and
+(** The journal reconstruction covers the Rapilog drain path onto a
+    disk or NVMe log device with a dedicated log disk; other modes and
     devices fall back to {!sweep}. *)
 
 val sweep_journal : ?jobs:int -> config -> result

@@ -34,6 +34,19 @@ let plan ~members ~chunk_sectors ~lba ~sectors =
   in
   split lba sectors []
 
+(* The inverse of [plan]: a member write's sector ranges in the volume's
+   address space, split at chunk boundaries. *)
+let iter_global_ranges ~members ~chunk_sectors ~member ~lba ~sectors f =
+  assert (members > 0 && chunk_sectors > 0);
+  let l = ref lba and remaining = ref sectors in
+  while !remaining > 0 do
+    let within = !l mod chunk_sectors in
+    let here = min !remaining (chunk_sectors - within) in
+    f (((((!l / chunk_sectors) * members) + member) * chunk_sectors) + within) here;
+    l := !l + here;
+    remaining := !remaining - here
+  done
+
 let segments t ~lba ~sectors =
   plan ~members:(Array.length t.members) ~chunk_sectors:t.chunk_sectors ~lba
     ~sectors

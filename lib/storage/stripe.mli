@@ -25,3 +25,14 @@ val plan : members:int -> chunk_sectors:int -> lba:int -> sectors:int -> segment
     order. Pure in the geometry — the crash-surface journal
     reconstruction uses this to attribute journaled member writes to the
     volume submissions that caused them. *)
+
+val iter_global_ranges :
+  members:int ->
+  chunk_sectors:int ->
+  member:int ->
+  lba:int ->
+  sectors:int ->
+  (int -> int -> unit) ->
+  unit
+(** The inverse of {!plan}: [f global_lba sectors] for each chunk of
+    member [member]'s range [\[lba, lba + sectors)], in order. *)

@@ -363,7 +363,7 @@ let rng_copy () =
    vectors pin xoshiro256++ as seeded by splitmix64, so a change of the
    generator's representation must reproduce them exactly. The [int]
    bounds just above 2^61 reject about half the raw draws, which pins the
-   rejection loop too. *)
+   rejection loop too, and the Zipf draws pin [Zipf.sample]'s search. *)
 type rng_golden = {
   g_seed : int64;
   g_bits : int64 list;
@@ -372,6 +372,7 @@ type rng_golden = {
   g_child : int64 list;
   g_parent : int64;
   g_after_copy : int64 list;
+  g_zipf : int list;  (* alternating n = 100k, theta 0.99 and n = 10, theta 0.5 *)
 }
 
 let rng_golden_bounds =
@@ -390,6 +391,7 @@ let rng_golden_vectors =
       g_child = [ 0xbca031832c743e28L; 0x8ff6258af6247130L ];
       g_parent = 0xa04620d3d0fc04a8L;
       g_after_copy = [ 0x1d50881230af9cc3L; 0x53be287ded35f698L ];
+      g_zipf = [ 87; 1; 2; 0; 17; 2 ];
     };
     {
       g_seed = 7L;
@@ -401,6 +403,7 @@ let rng_golden_vectors =
       g_child = [ 0xfababc69c3e6f41fL; 0x57e43df69b296265L ];
       g_parent = 0x2f36ae4712c2aabeL;
       g_after_copy = [ 0x1c2503d28c43d52bL; 0xca3959f6a3c6b39cL ];
+      g_zipf = [ 2318; 2; 9154; 3; 16440; 0 ];
     };
     {
       g_seed = Int64.max_int;
@@ -412,6 +415,7 @@ let rng_golden_vectors =
       g_child = [ 0x9116d9ecc24845c3L; 0x4a5a7a908289a256L ];
       g_parent = 0xafe809adf03bd468L;
       g_after_copy = [ 0xc02bac858db7eba6L; 0xe4e887da8637a129L ];
+      g_zipf = [ 79543; 0; 58; 9; 1; 4 ];
     };
     {
       g_seed = -1L;
@@ -423,8 +427,12 @@ let rng_golden_vectors =
       g_child = [ 0xf4d9b508278bd6f6L; 0x97c404ef8e4ed10bL ];
       g_parent = 0x32c14ddbee71348cL;
       g_after_copy = [ 0x93f91010e464e2edL; 0x69e31711847544ffL ];
+      g_zipf = [ 8381; 0; 5409; 1; 42561; 1 ];
     };
   ]
+
+let zipf_big = Rng.Zipf.create ~n:100_000 ~theta:0.99
+let zipf_small = Rng.Zipf.create ~n:10 ~theta:0.5
 
 let rng_golden_streams () =
   List.iter
@@ -445,7 +453,11 @@ let rng_golden_streams () =
       Alcotest.(check (list int64)) (label "original after copy") g.g_after_copy
         (List.map (fun _ -> Rng.bits64 r) g.g_after_copy);
       Alcotest.(check (list int64)) (label "copy") g.g_after_copy
-        (List.map (fun _ -> Rng.bits64 dup) g.g_after_copy))
+        (List.map (fun _ -> Rng.bits64 dup) g.g_after_copy);
+      Alcotest.(check (list int)) (label "zipf") g.g_zipf
+        (List.mapi
+           (fun i _ -> Rng.Zipf.sample r (if i mod 2 = 0 then zipf_big else zipf_small))
+           g.g_zipf))
     rng_golden_vectors
 
 let rng_int_bounds_prop =

@@ -418,6 +418,97 @@ let suites =
       ] );
   ]
 
+(* -- Live drain vs the shared ring policy ------------------------------------- *)
+
+(* The batches the live logger writes after [notify_power_fail] must be
+   exactly what [Ring_state.power_fail] then [Ring_state.drain] yield on
+   a copy of its ring taken at the cut — the equality the journal crash
+   sweep relies on when it drains a replica instead of running the
+   logger. Writes interleave two stream regions, some rewrite their
+   stream's tail sector, and the cut lands at a random step, so it finds
+   the ring in every state: empty, mid-batch, full with writers parked
+   on backpressure. *)
+let live_drain_equals_shared_prop =
+  let gen =
+    QCheck2.Gen.(
+      pair
+        (list_size (int_range 1 30)
+           (triple (int_range 0 1) (int_range 1 3) bool))
+        (int_range 0 30))
+  in
+  prop "post-cut live drain equals Ring_state.drain on the cut copy" ~count:150
+    gen (fun (writes, cut_step) ->
+      let sim = Sim.create ~seed:3L () in
+      let inner = Storage.Hdd.create sim Storage.Hdd.default_7200rpm in
+      let cut = ref false in
+      let post_cut = ref [] in
+      let device =
+        Storage.Block.make ~info:(Storage.Block.info inner)
+          ~stats:(Storage.Block.stats inner)
+          ~ops:
+            {
+              Storage.Block.op_read =
+                (fun ~lba ~sectors -> Storage.Block.read inner ~lba ~sectors);
+              op_write =
+                (fun ~lba ~data ~fua ->
+                  if !cut then post_cut := (lba, data) :: !post_cut;
+                  Storage.Block.write inner ~fua ~lba data);
+              op_flush = (fun () -> Storage.Block.flush inner);
+              op_power_cut = (fun () -> Storage.Block.power_cut inner);
+              op_durable_read =
+                (fun ~lba ~sectors -> Storage.Block.durable_read inner ~lba ~sectors);
+              op_durable_extent = (fun () -> Storage.Block.durable_extent inner);
+            }
+          ()
+      in
+      let trusted =
+        Hypervisor.Domain.create sim ~name:"rapilog" ~kind:Hypervisor.Domain.Trusted
+      in
+      let logger =
+        Rapilog.Trusted_logger.create sim ~domain:trusted
+          {
+            Rapilog.Trusted_logger.buffer_bytes = 8 * sector;
+            copy_bandwidth = 1e8;
+            drain_max_bytes = 3 * sector;
+          }
+          ~device
+      in
+      let backend = Rapilog.Trusted_logger.backend logger in
+      let guest = Hypervisor.Domain.create sim ~name:"g" ~kind:Hypervisor.Domain.Guest in
+      let spacing = Time.us 150 in
+      let next = [| 0; 1000 |] in
+      List.iteri
+        (fun i (stream, sectors, rewrite_tail) ->
+          let lba =
+            if rewrite_tail && next.(stream) > stream * 1000 then next.(stream) - 1
+            else next.(stream)
+          in
+          next.(stream) <- lba + sectors;
+          let data = data_of (Char.chr (65 + (i mod 26))) sectors in
+          Sim.schedule_at sim (Time.add Time.zero (Time.mul_span spacing i)) (fun () ->
+              ignore
+                (Hypervisor.Domain.spawn guest (fun () ->
+                     backend.Hypervisor.Virtio_blk.be_write ~lba ~data ~fua:false))))
+        writes;
+      let snapshot = ref None in
+      Sim.schedule_at sim
+        (Time.add (Time.add Time.zero (Time.mul_span spacing cut_step)) (Time.us 70))
+        (fun () ->
+          snapshot := Some (Rapilog.Trusted_logger.ring_snapshot logger);
+          Rapilog.Trusted_logger.notify_power_fail logger;
+          cut := true);
+      Sim.run sim;
+      (* The crash sweep's sequence: copy, power_fail, drain. *)
+      let shared = ref [] in
+      (match !snapshot with
+      | Some ring ->
+          Rapilog.Trusted_logger.Ring_state.power_fail ring;
+          Rapilog.Trusted_logger.Ring_state.drain ring ~write:(fun ~stamp:_ ~lba ~data ->
+              shared := (lba, data) :: !shared;
+              true)
+      | None -> ());
+      !post_cut = !shared)
+
 (* -- Tracing (appended) ------------------------------------------------------ *)
 
 let logger_emits_trace_events () =
@@ -481,7 +572,12 @@ let trace_suite =
       case "backpressure events" logger_traces_backpressure;
     ] )
 
-let suites = suites @ [ trace_suite ]
+let suites =
+  suites
+  @ [
+      ("rapilog.ring_state", [ live_drain_equals_shared_prop ]);
+      trace_suite;
+    ]
 
 (* -- Power fail under backpressure (appended) ---------------------------------- *)
 

@@ -651,9 +651,33 @@ let stripe_power_cut_propagates () =
           (Storage.Block.durable_read vol ~lba:100 ~sectors:4);
         ignore disks)
 
+(* [iter_global_ranges] inverts [plan]: mapping every planned segment
+   back to the volume's address space must tile the request's sector
+   range exactly — in order, no gap, no overlap, nothing outside it. *)
+let stripe_plan_inverse_prop =
+  prop "plan segments map back onto the request range" ~count:500
+    QCheck2.Gen.(
+      quad (int_range 1 6) (int_range 1 9) (int_range 0 200) (int_range 0 60))
+    (fun (members, chunk_sectors, lba, sectors) ->
+      let covered = ref [] in
+      List.iter
+        (fun seg ->
+          Storage.Stripe.iter_global_ranges ~members ~chunk_sectors
+            ~member:seg.Storage.Stripe.member ~lba:seg.Storage.Stripe.member_lba
+            ~sectors:seg.Storage.Stripe.sectors (fun glba n ->
+              covered := (glba, n) :: !covered))
+        (Storage.Stripe.plan ~members ~chunk_sectors ~lba ~sectors);
+      let next =
+        List.fold_left
+          (fun next (glba, n) -> if glba = next && n > 0 then next + n else -1)
+          lba (List.rev !covered)
+      in
+      next = lba + sectors)
+
 let stripe_suite =
   ( "storage.stripe",
     [
+      stripe_plan_inverse_prop;
       case "roundtrip within a chunk" stripe_roundtrip_within_chunk;
       case "roundtrip across members" stripe_roundtrip_across_members;
       case "chunks distribute round-robin" stripe_distributes_chunks;
