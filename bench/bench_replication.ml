@@ -8,7 +8,7 @@
    async-replica pay nothing — the device barely matters because the
    RapiLog commit path acks from the trusted buffer either way. The
    machine-readable version of this experiment (with the machine-loss
-   sweep it buys) is replication.exe → BENCH_PR5.json. *)
+   sweep it buys) is the replication gate → BENCH_replication.json. *)
 
 open Harness
 open Bench_support

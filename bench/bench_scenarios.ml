@@ -4,7 +4,7 @@
    open-loop cells report arrival-to-ack sojourn (queue wait included),
    which is where a burst against synchronous commits shows up; the
    machine-readable version with per-cell crash sweeps is
-   scenarios.exe (BENCH_PR10.json). *)
+   the scenarios gate (BENCH_scenarios.json). *)
 
 open Harness
 open Bench_support
@@ -53,5 +53,5 @@ let experiment =
         Report.note
           "open-loop latency is arrival-to-ack sojourn: bursts queue against \
            native-sync's commit latency but are absorbed by rapilog's \
-           trusted buffer (crash-sweep evidence: scenarios.exe --check)");
+           trusted buffer (crash-sweep evidence: --only scenarios)");
   }

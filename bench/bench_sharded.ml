@@ -6,7 +6,7 @@
    latency, never durability; the quick run is a smoke-sized load where
    the columns merely tie. The machine-readable version (10k-tenant
    scale cell, noisy-neighbor, rebalance and the sharded crash sweep)
-   is sharded.exe → BENCH_PR9.json. *)
+   is the sharded gate → BENCH_sharded.json. *)
 
 open Harness
 open Bench_support

@@ -48,3 +48,15 @@ let print_config_line (config : Scenario.config) =
   Report.kvf "seed" "%Ld" config.Scenario.seed
 
 let bool_cell b = if b then "yes" else "NO"
+
+(* The one microbenchmark loop: [run ()] performs [ops] operations of a
+   hot path set up beforehand. Returns their wall-clock rate and the
+   minor-heap words allocated per operation. *)
+let per_op ~ops run =
+  Gc.minor ();
+  let words0 = Gc.minor_words () in
+  let t0 = Unix.gettimeofday () in
+  run ();
+  let elapsed = Unix.gettimeofday () -. t0 in
+  let words = Gc.minor_words () -. words0 in
+  (float_of_int ops /. elapsed, words /. float_of_int ops)

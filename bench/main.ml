@@ -1,12 +1,15 @@
-(* The benchmark harness: regenerates every table and figure of the
-   reconstructed RapiLog evaluation (see DESIGN.md for the experiment
-   index), plus Bechamel microbenchmarks of the core operations.
+(* The one bench driver: every table and figure of the reconstructed
+   RapiLog evaluation (see DESIGN.md for the experiment index), the
+   core-operation microbenchmarks, and the gates — experiments that make
+   named checks and write BENCH_<id>.json to the working directory
+   (bench/gate.ml).
 
    Usage:
      dune exec bench/main.exe                 run everything
      dune exec bench/main.exe -- --quick      smaller sweeps / fewer trials
      dune exec bench/main.exe -- --list       list experiment ids
-     dune exec bench/main.exe -- --only ID    run one experiment (repeatable) *)
+     dune exec bench/main.exe -- --only ID    run one experiment (repeatable)
+     dune exec bench/main.exe -- --check ...  exit 1 if a gate's check fails *)
 
 let experiments =
   Bench_throughput.experiments @ Bench_latency.experiments
@@ -19,13 +22,17 @@ let experiments =
   @ Bench_metrics.experiments @ Bench_replication.experiments
   @ Bench_commit_path.experiments @ Bench_sharded.experiments
   @ [ Bench_scenarios.experiment; Bench_micro.experiment ]
+  @ Gate_engine.experiments @ Gate_crash_surface.experiments
+  @ Gate_replication.experiments @ Gate_sharded.experiments
+  @ Gate_scenarios.experiments
 
 let usage () =
-  print_endline "usage: main.exe [--quick] [--list] [--metrics] [--only ID]...";
+  print_endline "usage: main.exe [--quick] [--check] [--list] [--only ID]...";
   exit 2
 
 let () =
   let quick = ref false in
+  let check = ref false in
   let only = ref [] in
   let list_only = ref false in
   let rec parse = function
@@ -33,15 +40,14 @@ let () =
     | "--quick" :: rest ->
         quick := true;
         parse rest
+    | "--check" :: rest ->
+        check := true;
+        parse rest
     | "--list" :: rest ->
         list_only := true;
         parse rest
     | "--only" :: id :: rest ->
         only := id :: !only;
-        parse rest
-    | "--metrics" :: rest ->
-        (* Shorthand for the per-stage latency breakdown. *)
-        only := "metrics-breakdown" :: !only;
         parse rest
     | arg :: _ ->
         Printf.eprintf "unknown argument: %s\n" arg;
@@ -99,4 +105,5 @@ let () =
       Printf.printf "  [%s done in %.1fs]\n%!" e.Bench_support.id
         (Unix.gettimeofday () -. t0))
     selected;
-  Printf.printf "\nall experiments done in %.1fs\n" (Unix.gettimeofday () -. started)
+  Printf.printf "\nall experiments done in %.1fs\n" (Unix.gettimeofday () -. started);
+  if !check && !Gate.failed then exit 1

@@ -11,6 +11,11 @@ type t = {
   mutable lbas : int array;
   mutable datas : string array;
   mutable stamps : int array;  (* caller-supplied push stamps (ns) *)
+  (* [pop_coalesced]'s per-scan scratch, one slot per ring slot and
+     grown with the ring, so a pop allocates nothing per queued entry. *)
+  mutable take : bool array;
+  mutable skip_lo : int array;
+  mutable skip_hi : int array;
   mutable head : int;     (* index of the oldest entry *)
   mutable count : int;
   mutable bytes : int;
@@ -30,6 +35,9 @@ let create ~sector_size ~capacity_bytes =
     lbas = Array.make initial_slots 0;
     datas = Array.make initial_slots "";
     stamps = Array.make initial_slots 0;
+    take = Array.make initial_slots false;
+    skip_lo = Array.make initial_slots 0;
+    skip_hi = Array.make initial_slots 0;
     head = 0;
     count = 0;
     bytes = 0;
@@ -60,6 +68,9 @@ let grow t =
   t.lbas <- lbas;
   t.datas <- datas;
   t.stamps <- stamps;
+  t.take <- Array.make (2 * cap) false;
+  t.skip_lo <- Array.make (2 * cap) 0;
+  t.skip_hi <- Array.make (2 * cap) 0;
   t.head <- 0
 
 let try_push ?(stamp = 0) t ~lba ~data =
@@ -127,12 +138,11 @@ let pop_coalesced t ~max_bytes =
     let base = t.lbas.(t.head) in
     let end_lba = ref (base + sectors t t.datas.(t.head)) in
     let batch_bytes = ref (String.length t.datas.(t.head)) in
-    let take = Array.make t.count false in
+    let take = t.take and skip_lo = t.skip_lo and skip_hi = t.skip_hi in
+    Array.fill take 0 t.count false;
     take.(0) <- true;
     let n = ref 1 in
     let contiguous = ref true in
-    let skip_lo = Array.make t.count 0 in
-    let skip_hi = Array.make t.count 0 in
     let skips = ref 0 in
     let overlaps_skipped lba stop =
       let hit = ref false in
@@ -208,7 +218,16 @@ let pop_coalesced t ~max_bytes =
   end
 
 let copy t =
-  { t with lbas = Array.copy t.lbas; datas = Array.copy t.datas; stamps = Array.copy t.stamps }
+  let slots = Array.length t.lbas in
+  {
+    t with
+    lbas = Array.copy t.lbas;
+    datas = Array.copy t.datas;
+    stamps = Array.copy t.stamps;
+    take = Array.make slots false;
+    skip_lo = Array.make slots 0;
+    skip_hi = Array.make slots 0;
+  }
 
 let pushed_bytes t = t.pushed
 let popped_bytes t = t.popped

@@ -39,7 +39,7 @@ val decide : t -> ewma_ns:int -> pending:int -> waited_ns:int -> int
 (** [decide policy ~ewma_ns ~pending ~waited_ns] is the leader's
     batching decision: [0] means issue the device write now, a positive
     value means sleep that many nanoseconds and re-evaluate. Pure
-    integer arithmetic, zero allocation (gated by [bench/perf.exe]). *)
+    integer arithmetic, zero allocation (checked by the [engine] bench gate). *)
 
 val ewma_update : prev:int -> obs:int -> int
 (** One EWMA step over observed device-write latency (α = 1/8, integer

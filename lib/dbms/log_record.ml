@@ -96,7 +96,7 @@ let encode t =
    running CRC together, little-endian, with no intermediate record
    buffer and no boxed int32/int64 temporaries. This is the per-append
    hot path of every WAL stream — with the buffer warm (no growth) it
-   allocates nothing, which bench/perf.exe gates. Loops are structured
+   allocates nothing, which the engine bench gate checks. Loops are structured
    as tail recursion rather than closures so no environment is built. *)
 
 let[@inline] put_byte buf crc b =

@@ -103,7 +103,7 @@ let level_of x =
 
 (* No refs or local closures anywhere on the pop path: without flambda
    both compile to heap blocks, and this runs once per pop under the
-   perf.exe zero-allocation gate. *)
+   engine bench gate's zero-allocation check. *)
 let lsb_index w0 =
   let v = w0 land -w0 in
   let a = if v land 0xFFFF = 0 then 16 else 0 in

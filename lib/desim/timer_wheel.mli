@@ -8,7 +8,7 @@
     overflow sharing the wheel's sequence counter, and popping compares
     both heads on (time, seq), so the pop order is identical to the
     heap's — certified by the wheel-vs-heap qcheck model test and the
-    [perf.exe --check] ordering fingerprint.
+    [engine] bench gate's ordering fingerprint.
 
     {!add} and {!pop_min}/{!drain_one} are amortised O(1): an event is
     appended once and cascaded at most [levels - 1] times, all over flat

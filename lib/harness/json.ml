@@ -6,13 +6,34 @@ type t =
   | Bool of bool
   | Null
 
+(* JSON string escapes. Bytes from 0x80 up pass through raw, so UTF-8
+   text stays readable and round-trips; a printable ASCII string comes
+   out exactly as OCaml's [%S] would write it. *)
+let write_string buf s =
+  Buffer.add_char buf '"';
+  String.iter
+    (function
+      | '"' -> Buffer.add_string buf "\\\""
+      | '\\' -> Buffer.add_string buf "\\\\"
+      | '\n' -> Buffer.add_string buf "\\n"
+      | '\t' -> Buffer.add_string buf "\\t"
+      | '\r' -> Buffer.add_string buf "\\r"
+      | '\b' -> Buffer.add_string buf "\\b"
+      | '\012' -> Buffer.add_string buf "\\f"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char buf c)
+    s;
+  Buffer.add_char buf '"'
+
 let rec write buf = function
   | Obj fields ->
       Buffer.add_char buf '{';
       List.iteri
         (fun i (k, v) ->
           if i > 0 then Buffer.add_string buf ", ";
-          Buffer.add_string buf (Printf.sprintf "%S: " k);
+          write_string buf k;
+          Buffer.add_string buf ": ";
           write buf v)
         fields;
       Buffer.add_char buf '}'
@@ -24,11 +45,17 @@ let rec write buf = function
           write buf v)
         items;
       Buffer.add_char buf ']'
-  | Str s -> Buffer.add_string buf (Printf.sprintf "%S" s)
+  | Str s -> write_string buf s
+  | Num f when not (Float.is_finite f) -> Buffer.add_string buf "null"
   | Num f ->
+      (* Six significant digits, or every digit of a value that reads
+         back as an integer, so that writing what was read reproduces
+         the text. *)
+      let short = Printf.sprintf "%.6g" f in
+      let f = if Float.is_integer f then f else float_of_string short in
       if Float.is_integer f && Float.abs f < 1e15 then
         Buffer.add_string buf (Printf.sprintf "%.0f" f)
-      else Buffer.add_string buf (Printf.sprintf "%.6g" f)
+      else Buffer.add_string buf short
   | Bool b -> Buffer.add_string buf (string_of_bool b)
   | Null -> Buffer.add_string buf "null"
 
@@ -50,6 +77,21 @@ let of_string text =
     match peek () with ' ' | '\t' | '\n' | '\r' -> advance (); skip_ws () | _ -> ()
   in
   let expect c = if peek () = c then advance () else fail (Printf.sprintf "expected %c" c) in
+  let hex4 () =
+    let v = ref 0 in
+    for _ = 1 to 4 do
+      let d =
+        match peek () with
+        | '0' .. '9' as c -> Char.code c - 48
+        | 'a' .. 'f' as c -> Char.code c - 87
+        | 'A' .. 'F' as c -> Char.code c - 55
+        | _ -> fail "bad unicode escape"
+      in
+      v := (!v lsl 4) lor d;
+      advance ()
+    done;
+    !v
+  in
   let parse_string () =
     expect '"';
     let buf = Buffer.create 16 in
@@ -65,14 +107,22 @@ let of_string text =
           | 't' -> Buffer.add_char buf '\t'
           | 'r' -> Buffer.add_char buf '\r'
           | 'b' -> Buffer.add_char buf '\b'
+          | 'f' -> Buffer.add_char buf '\012'
           | 'u' ->
-              (* four hex digits; validity only, keep them raw *)
-              for _ = 1 to 4 do
-                (match peek () with
-                | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> ()
-                | _ -> fail "bad unicode escape");
-                advance ()
-              done
+              let u = hex4 () in
+              let u =
+                if u >= 0xD800 && u <= 0xDBFF then begin
+                  (* a high surrogate must pair with a low one *)
+                  expect '\\';
+                  expect 'u';
+                  let lo = hex4 () in
+                  if lo < 0xDC00 || lo > 0xDFFF then fail "bad surrogate pair";
+                  0x10000 + ((u - 0xD800) lsl 10) + (lo - 0xDC00)
+                end
+                else if u >= 0xDC00 && u <= 0xDFFF then fail "lone low surrogate"
+                else u
+              in
+              Buffer.add_utf_8_uchar buf (Uchar.of_int u)
           | ('"' | '\\' | '/') as c -> Buffer.add_char buf c
           | _ -> fail "bad escape");
           loop ()

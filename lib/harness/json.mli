@@ -1,12 +1,17 @@
 (** A minimal JSON writer and validating reader (no external deps).
 
-    The machine-readable bench harnesses ([perf.exe],
-    [crash_surface.exe]) serialise their reports with this, and their
-    [--check] modes re-parse the emitted text to assert well-formedness.
-    It supports exactly the JSON the reports need: objects, arrays,
-    strings, numbers, booleans and [null] (used by bench reports to
-    mark measurements that were skipped as meaningless, e.g. a
-    parallel-vs-serial speedup on a single-core machine). *)
+    The bench gates ([bench/main.exe]'s gate experiments, through
+    [bench/gate.ml]) serialise their reports with this and re-parse the
+    emitted text to assert well-formedness. It supports exactly the
+    JSON the reports need: objects, arrays, strings, numbers, booleans
+    and [null] (used by bench reports to mark measurements that were
+    skipped as meaningless, e.g. a parallel-vs-serial speedup on a
+    single-core machine).
+
+    Strings are written with JSON escapes; bytes from 0x80 up pass
+    through raw, so UTF-8 text round-trips. A non-finite number (nan,
+    infinity) has no JSON form and is written as [null]. The reader
+    decodes [\uXXXX] escapes, surrogate pairs included, to UTF-8. *)
 
 type t =
   | Obj of (string * t) list

@@ -21,7 +21,7 @@
     The hot path is allocation-free: queued messages live in flat
     preallocated ring arrays (grown geometrically, amortised), the pump
     closure is preallocated, and a zero drop probability never touches
-    the rng. [perf.exe --check] gates this. *)
+    the rng. The [engine] bench gate checks this. *)
 
 open Desim
 

@@ -64,7 +64,7 @@ val write_timeline : config -> now_ns:int -> sectors:int -> timeline
     live {!create}d device performs. *)
 
 (** {2 Zone accounting} — exposed for the allocation gate in
-    [bench/perf.exe], which drives {!Zones.note_write} directly to show
+    the [engine] bench gate, which drives {!Zones.note_write} directly to show
     the per-write hot path allocates nothing. *)
 
 module Zones : sig

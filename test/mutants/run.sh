@@ -9,10 +9,12 @@
 #   steady   rapilog_sim power-cut / crash runs that end in recovery and
 #            the durability audit (rapilog, and a 4-replica quorum-2
 #            cluster)
-#   replay   crash_surface.exe --quick --check: the full-replay sweep
-#   journal  the journal sweep of crash_surface.exe --quick --journal on
-#            its own: its contract breaks, read from the JSON report
-#            (the smoke's replay oracle is not consulted)
+#   replay   the full-replay sweeps of the crash-surface gate
+#            (bench/main.exe --quick --only crash-surface): a failed
+#            protected.* or baseline.* check in its BENCH_crash-surface.json
+#   journal  the journal sweep of the same run on its own: its contract
+#            breaks and losses, read from the same report (the gate's
+#            replay oracle is not consulted)
 #   model    the model-check suites of the test runner
 #            (test_main.exe test rapilog.model_check)
 #   framing  the log-record framing properties (test_main.exe test
@@ -44,7 +46,7 @@ if [ $# -gt 0 ]; then patches="$*"; else patches=$(ls "$here"/*.patch); fi
 exe="$src/_build/default"
 
 build() {
-  (cd "$src" && dune build ./bin/rapilog_sim.exe ./bench/crash_surface.exe \
+  (cd "$src" && dune build ./bin/rapilog_sim.exe ./bench/main.exe \
     ./test/test_main.exe) >"$work/build.log" 2>&1
 }
 
@@ -62,20 +64,29 @@ gate_steady() {
   echo survived
 }
 
+# The replay and journal gates read one crash-surface run's report:
+# gate_replay makes the run, gate_journal (next in $gates) reads it.
+report="$work/sweep/BENCH_crash-surface.json"
+
 gate_replay() {
-  if "$exe/bench/crash_surface.exe" --quick --check \
-    --output "$work/replay.json" >"$work/replay.log" 2>&1; then
-    echo survived
-  else
-    echo killed
-  fi
+  rm -rf "$work/sweep"
+  mkdir "$work/sweep"
+  (cd "$work/sweep" && "$exe/bench/main.exe" --quick --only crash-surface) \
+    >"$work/sweep.log" 2>&1
+  python3 - "$report" <<'EOF'
+import json, sys
+try:
+    checks = json.load(open(sys.argv[1]))["checks"]
+except Exception:
+    print("error")
+    sys.exit()
+replay = [c for c in checks if c["name"].split(".")[0] in ("protected", "baseline")]
+print("survived" if all(c["ok"] for c in replay) else "killed")
+EOF
 }
 
 gate_journal() {
-  rm -f "$work/journal.json"
-  "$exe/bench/crash_surface.exe" --quick --journal \
-    --output "$work/journal.json" >"$work/journal.log" 2>&1
-  python3 - "$work/journal.json" <<'EOF'
+  python3 - "$report" <<'EOF'
 import json, sys
 try:
     sweep = json.load(open(sys.argv[1]))["journal"]["sweep"]

@@ -471,3 +471,95 @@ let parallel_suite =
     ] )
 
 let suites = suites @ [ parallel_suite ]
+
+(* -- Json: the writer emits JSON its own reader accepts -------------------- *)
+
+let json_reparses name v expected =
+  let text = Json.to_string v in
+  Alcotest.(check string) (name ^ " text") expected text;
+  match Json.of_string text with
+  | exception Json.Parse_error msg -> Alcotest.failf "%s: %s in %S" name msg text
+  | _ -> ()
+
+let json_utf8_passes_raw () =
+  json_reparses "em dash" (Json.Str "a \xe2\x80\x94 b") "\"a \xe2\x80\x94 b\"\n";
+  Alcotest.(check bool) "decoded" true
+    (Json.of_string "\"a \xe2\x80\x94 b\"" = Json.Str "a \xe2\x80\x94 b")
+
+let json_control_bytes_escaped () =
+  json_reparses "0x01" (Json.Str "\001") "\"\\u0001\"\n";
+  json_reparses "quote, backslash, newline, form feed"
+    (Json.Str "\"\\\n\012") "\"\\\"\\\\\\n\\f\"\n";
+  Alcotest.(check bool) "0x01 decoded" true (Json.of_string "\"\\u0001\"" = Json.Str "\001");
+  Alcotest.(check bool) "\\f decoded" true (Json.of_string "\"\\f\"" = Json.Str "\012")
+
+let json_non_finite_is_null () =
+  json_reparses "nan" (Json.Arr [ Json.Num nan ]) "[null]\n";
+  json_reparses "infinity" (Json.Obj [ ("x", Json.Num infinity) ]) "{\"x\": null}\n";
+  json_reparses "-infinity" (Json.Num neg_infinity) "null\n"
+
+let json_unicode_escapes_decode () =
+  Alcotest.(check bool) "BMP" true
+    (Json.of_string "\"\\u2014\\u00d7\"" = Json.Str "\xe2\x80\x94\xc3\x97");
+  Alcotest.(check bool) "surrogate pair" true
+    (Json.of_string "\"\\ud83d\\ude00\"" = Json.Str "\xf0\x9f\x98\x80");
+  Alcotest.(check bool) "lone low surrogate rejected" true
+    (match Json.of_string "\"\\udc00\"" with
+    | exception Json.Parse_error _ -> true
+    | _ -> false)
+
+let json_ascii_unchanged () =
+  (* Plain printable ASCII is written exactly as OCaml's %S writes it. *)
+  let s = String.init 95 (fun i -> Char.chr (32 + i)) in
+  Alcotest.(check string) "as %S" (Printf.sprintf "%S\n" s) (Json.to_string (Json.Str s))
+
+let json_gen =
+  QCheck2.Gen.(
+    let str = string_size ~gen:char (int_range 0 12) in
+    let num =
+      oneof
+        [
+          map float_of_int (int_range (-1_000_000) 1_000_000);
+          float;
+          oneofl [ nan; infinity; neg_infinity; 1e15; -0. ];
+        ]
+    in
+    sized
+    @@ fix (fun self n ->
+           let leaf =
+             oneof
+               [
+                 map (fun s -> Json.Str s) str;
+                 map (fun f -> Json.Num f) num;
+                 map (fun b -> Json.Bool b) bool;
+                 pure Json.Null;
+               ]
+           in
+           if n <= 1 then leaf
+           else
+             oneof
+               [
+                 leaf;
+                 map (fun l -> Json.Arr l) (list_size (int_range 0 4) (self (n / 4)));
+                 map
+                   (fun l -> Json.Obj l)
+                   (list_size (int_range 0 4) (pair str (self (n / 4))));
+               ]))
+
+let json_round_trip =
+  prop "to_string (of_string (to_string v)) = to_string v" json_gen (fun v ->
+      let text = Json.to_string v in
+      Json.to_string (Json.of_string text) = text)
+
+let json_suite =
+  ( "harness.json",
+    [
+      case "UTF-8 passes through raw" json_utf8_passes_raw;
+      case "control bytes are escaped" json_control_bytes_escaped;
+      case "non-finite numbers are null" json_non_finite_is_null;
+      case "\\u escapes decode to UTF-8" json_unicode_escapes_decode;
+      case "printable ASCII is unchanged" json_ascii_unchanged;
+      json_round_trip;
+    ] )
+
+let suites = suites @ [ json_suite ]

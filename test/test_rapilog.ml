@@ -92,6 +92,36 @@ let ring_coalesce_stops_at_gap () =
   | None -> Alcotest.fail "empty");
   Alcotest.(check int) "gap entry left" 1 (Rapilog.Ring_buffer.length ring)
 
+(* A pop must not allocate per queued entry: the scan's scratch lives in
+   the ring. The queue interleaves two regions, so every pop skips an
+   entry of the other region before the batch limit stops it, and takes
+   one sector. Counted with [Gc.allocated_bytes], not [Gc.minor_words]:
+   an array above 256 words is allocated straight in the major heap. *)
+let ring_pop_allocation_flat () =
+  let per_pop queued =
+    let ring =
+      Rapilog.Ring_buffer.create ~sector_size:sector ~capacity_bytes:(queued * sector)
+    in
+    for i = 0 to queued - 1 do
+      let lba = if i land 1 = 0 then i / 2 else 1_000_000 + (i / 2) in
+      ignore (Rapilog.Ring_buffer.try_push ring ~lba ~data:(data_of 'p' 1))
+    done;
+    let pops = 100 in
+    Gc.full_major ();
+    let before = Gc.allocated_bytes () in
+    for _ = 1 to pops do
+      ignore (Sys.opaque_identity (Rapilog.Ring_buffer.pop_coalesced ring ~max_bytes:sector))
+    done;
+    Gc.full_major ();
+    (Gc.allocated_bytes () -. before) /. float_of_int (pops * (Sys.word_size / 8))
+  in
+  (* Both sizes pop the same one-sector batches, so the merged buffer
+     cancels out of the comparison. *)
+  let small = per_pop 1_000 and large = per_pop 10_000 in
+  if large > small then
+    Alcotest.failf "a pop allocates %.1f words at 10,000 queued entries vs %.1f at 1,000"
+      large small
+
 (* Property: draining with coalescing produces the same media contents as
    applying every write in order. *)
 let ring_coalesce_equivalence_prop =
@@ -389,6 +419,7 @@ let suites =
         case "overlap: later write wins" ring_coalesce_overlap_later_wins;
         case "respects max batch size" ring_coalesce_respects_max_bytes;
         case "stops at address gaps" ring_coalesce_stops_at_gap;
+        case "pop allocation flat in queue length" ring_pop_allocation_flat;
         ring_coalesce_equivalence_prop;
       ] );
     ( "rapilog.trusted_logger",
