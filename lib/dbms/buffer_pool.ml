@@ -209,14 +209,15 @@ let oldest_dirty t ~limit =
   let by_age = List.sort (fun a b -> Int.compare a.stamp b.stamp) dirty in
   List.filteri (fun i _ -> i < limit) by_age
 
+let clean t ~batch =
+  List.iter (fun slot -> flush_page_locked t slot.page) (oldest_dirty t ~limit:batch)
+
 let spawn_cleaner t domain ~interval ~batch =
   assert (Time.compare_span interval Time.zero_span > 0 && batch > 0);
   Hypervisor.Domain.spawn domain ~name:"bgwriter" (fun () ->
       while true do
         Process.sleep interval;
-        List.iter
-          (fun slot -> flush_page_locked t slot.page)
-          (oldest_dirty t ~limit:batch)
+        clean t ~batch
       done)
 
 let dirty_pages t =

@@ -73,14 +73,19 @@ val flush_page : t -> Page.t -> unit
 (** WAL-force then write the page image; no-op on clean pages. Must run
     in a process. *)
 
+val clean : t -> batch:int -> unit
+(** One background-writer pass: flush up to [batch] of the
+    least-recently-used dirty pages, oldest first. Must run in a
+    process. *)
+
 val spawn_cleaner :
   t ->
   Hypervisor.Domain.t ->
   interval:Desim.Time.span ->
   batch:int ->
   Desim.Process.handle
-(** Background writer (PostgreSQL's bgwriter): every [interval], flush
-    up to [batch] of the least-recently-used dirty pages so that
+(** Background writer (PostgreSQL's bgwriter): every [interval], run
+    {!clean} with [batch] so that
     eviction usually finds a clean victim instead of stalling a page
     miss behind a device write. *)
 

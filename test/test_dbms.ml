@@ -1619,3 +1619,166 @@ let robustness_suite =
     ] )
 
 let suites = suites @ [ robustness_suite ]
+
+(* -- Buffer pool against a reference model of its replacement rule -------------- *)
+
+(* The rule: on a miss at capacity, evict the clean page with the
+   smallest stamp (last-use tick); if no page is clean, the dirty page
+   with the smallest stamp, flushed on the way out. The cleaner flushes
+   the [batch] dirty pages with the smallest stamps, oldest first. *)
+module Pool_model = struct
+  type entry = { id : int; mutable stamp : int; mutable dirty : bool }
+
+  type t = {
+    capacity : int;
+    mutable entries : entry list;
+    mutable clock : int;
+    mutable hits : bool list;  (* newest first *)
+    mutable flushed : int list;  (* newest first *)
+  }
+
+  let create capacity = { capacity; entries = []; clock = 0; hits = []; flushed = [] }
+
+  let tick m =
+    m.clock <- m.clock + 1;
+    m.clock
+
+  let flush m e =
+    if e.dirty then begin
+      m.flushed <- e.id :: m.flushed;
+      e.dirty <- false
+    end
+
+  let access m id =
+    match List.find_opt (fun e -> e.id = id) m.entries with
+    | Some e ->
+        m.hits <- true :: m.hits;
+        e.stamp <- tick m;
+        e
+    | None ->
+        m.hits <- false :: m.hits;
+        while List.length m.entries >= m.capacity do
+          let older a b = if compare (b.dirty, b.stamp) (a.dirty, a.stamp) < 0 then b else a in
+          let victim = List.fold_left older (List.hd m.entries) m.entries in
+          flush m victim;
+          m.entries <- List.filter (fun e -> e != victim) m.entries
+        done;
+        let e = { id; stamp = tick m; dirty = false } in
+        m.entries <- e :: m.entries;
+        e
+
+  let clean m batch =
+    let dirty = List.filter (fun e -> e.dirty) m.entries in
+    let by_age = List.sort (fun a b -> Int.compare a.stamp b.stamp) dirty in
+    List.iteri (fun i e -> if i < batch then flush m e) by_age
+
+  let install m id dirty =
+    m.entries <- { id; stamp = tick m; dirty } :: List.filter (fun e -> e.id <> id) m.entries
+end
+
+type pool_op =
+  | Access of int
+  | Dirty of int
+  | Flush of int
+  | Clean of int
+  | Flush_all
+  | Install of int * bool
+
+let pool_op_gen =
+  let open QCheck2.Gen in
+  let page = int_range 0 15 in
+  frequency
+    [
+      (4, map (fun p -> Access p) page);
+      (4, map (fun p -> Dirty p) page);
+      (1, map (fun p -> Flush p) page);
+      (1, map (fun b -> Clean b) (int_range 1 4));
+      (1, return Flush_all);
+      (1, map2 (fun p d -> Install (p, d)) page bool);
+    ]
+
+let pool_op_print = function
+  | Access p -> Printf.sprintf "Access %d" p
+  | Dirty p -> Printf.sprintf "Dirty %d" p
+  | Flush p -> Printf.sprintf "Flush %d" p
+  | Clean b -> Printf.sprintf "Clean %d" b
+  | Flush_all -> "Flush_all"
+  | Install (p, d) -> Printf.sprintf "Install (%d, %b)" p d
+
+(* The pool's hit/miss sequence and the sequence of pages it flushes,
+   driven by one test process (so nothing interleaves). [flush_all]
+   walks the pool's table in hash order, so its flushes are compared as
+   a set (sorted) on both sides. *)
+let run_pool_ops ~capacity ops =
+  run_in_sim (fun sim ->
+      let dev = Storage.Ssd.create sim Storage.Ssd.default in
+      let flushed = ref [] in
+      let config = { Buffer_pool.default_config with capacity_pages = capacity } in
+      let pool =
+        Buffer_pool.create sim config ~device:dev ~wal_force:(fun ~page _ ->
+            flushed := page :: !flushed)
+      in
+      let keys_per_page = config.Buffer_pool.keys_per_page in
+      let hits = ref [] and lsn = ref 0 in
+      let next_lsn () =
+        incr lsn;
+        Lsn.of_int !lsn
+      in
+      let on_page id f =
+        let before = Buffer_pool.hits pool in
+        Buffer_pool.with_page pool ~key:(id * keys_per_page) f;
+        hits := (Buffer_pool.hits pool > before) :: !hits
+      in
+      List.iter
+        (function
+          | Access id -> on_page id ignore
+          | Dirty id ->
+              on_page id (fun page ->
+                  let lsn = next_lsn () in
+                  Page.set page ~key:(id * keys_per_page) ~value:"v" ~lsn;
+                  Buffer_pool.mark_dirty pool page ~lsn)
+          | Flush id -> on_page id (fun page -> Buffer_pool.flush_page pool page)
+          | Clean batch -> Buffer_pool.clean pool ~batch
+          | Flush_all ->
+              let before = !flushed in
+              flushed := [];
+              Buffer_pool.flush_all pool;
+              flushed := List.sort (fun a b -> Int.compare b a) !flushed @ before
+          | Install (id, dirty) ->
+              let page = Page.create ~id in
+              let lsn = next_lsn () in
+              Page.set page ~key:(id * keys_per_page) ~value:"i" ~lsn;
+              Buffer_pool.install pool page
+                ~dirty_at:(if dirty then Some lsn else None)
+                ~parity:None)
+        ops;
+      (List.rev !hits, List.rev !flushed))
+
+let model_pool_ops ~capacity ops =
+  let m = Pool_model.create capacity in
+  List.iter
+    (function
+      | Access id -> ignore (Pool_model.access m id)
+      | Dirty id -> (Pool_model.access m id).Pool_model.dirty <- true
+      | Flush id -> Pool_model.flush m (Pool_model.access m id)
+      | Clean batch -> Pool_model.clean m batch
+      | Flush_all ->
+          let dirty = List.filter (fun e -> e.Pool_model.dirty) m.Pool_model.entries in
+          let ids = List.sort Int.compare (List.map (fun e -> e.Pool_model.id) dirty) in
+          List.iter (fun e -> e.Pool_model.dirty <- false) dirty;
+          m.Pool_model.flushed <- List.rev_append ids m.Pool_model.flushed
+      | Install (id, dirty) -> Pool_model.install m id dirty)
+    ops;
+  (List.rev m.Pool_model.hits, List.rev m.Pool_model.flushed)
+
+let pool_matches_model_prop =
+  prop "hit/miss and flush sequences match the reference model" ~count:300
+    ~print:(fun (capacity, ops) ->
+      Printf.sprintf "capacity %d: [%s]" capacity
+        (String.concat "; " (List.map pool_op_print ops)))
+    QCheck2.Gen.(pair (int_range 4 8) (list_size (int_range 1 120) pool_op_gen))
+    (fun (capacity, ops) -> run_pool_ops ~capacity ops = model_pool_ops ~capacity ops)
+
+let pool_model_suite = ("dbms.buffer_pool_model", [ pool_matches_model_prop ])
+
+let suites = suites @ [ pool_model_suite ]

@@ -22,11 +22,11 @@ let qcheck_seed =
       | Some n -> n
       | None -> failwith ("QCHECK_SEED is not an integer: " ^ s))
 
-let prop name ?(count = 200) gen law =
+let prop name ?(count = 200) ?print gen law =
   let name, speed, run =
     QCheck_alcotest.to_alcotest
       ~rand:(Random.State.make [| qcheck_seed |])
-      (QCheck2.Test.make ~name ~count gen law)
+      (QCheck2.Test.make ~name ~count ?print gen law)
   in
   ( name,
     speed,
