@@ -10,7 +10,12 @@ type config = {
 let default_config =
   { capacity_pages = 512; page_bytes = 8192; keys_per_page = 16; data_start_lba = 0 }
 
-type slot = { page : Page.t; mutable stamp : int }
+type slot = {
+  page : Page.t;
+  mutable stamp : int;  (* last-use tick *)
+  mutable dirty : bool;  (* the victim heap's view of [Page.is_dirty page] *)
+  mutable pos : int;  (* index in the victim heap; -1 once evicted *)
+}
 
 type t = {
   sim : Sim.t;
@@ -18,6 +23,11 @@ type t = {
   device : Storage.Block.t;
   wal_force : page:int -> Lsn.t -> unit;
   slots : (int, slot) Hashtbl.t;  (* page id -> slot *)
+  mutable heap : slot array;
+      (* Victim heap: every slot of [slots], a binary min-heap ordered
+         clean before dirty, then by stamp — so the root is the victim. *)
+  mutable heap_len : int;
+  vacant : slot;  (* fills [heap] past [heap_len], so evicted pages are not kept alive *)
   allocated : (int, unit) Hashtbl.t;  (* page ids with an on-device image *)
   winner_parity : (int, int) Hashtbl.t;
       (* page id -> slot holding the newest intact image; flushes target
@@ -35,12 +45,16 @@ let create sim config ~device ~wal_force =
   let ss = (Storage.Block.info device).Storage.Block.sector_size in
   assert (config.page_bytes mod ss = 0);
   assert (config.capacity_pages > 0 && config.keys_per_page > 0);
+  let vacant = { page = Page.create ~id:(-1); stamp = 0; dirty = false; pos = -1 } in
   {
     sim;
     config;
     device;
     wal_force;
     slots = Hashtbl.create config.capacity_pages;
+    heap = Array.make config.capacity_pages vacant;
+    heap_len = 0;
+    vacant;
     allocated = Hashtbl.create 1024;
     winner_parity = Hashtbl.create 1024;
     initial_extent = Storage.Block.durable_extent device;
@@ -65,9 +79,97 @@ let slot_lba t id parity =
   lba_of_page t.config ~sector_size:(sector_size t) id
   + (parity * sectors_per_page t)
 
+(* -- Victim heap -------------------------------------------------------
+
+   Indexed binary min-heap over the cached slots: each slot records its
+   index, so a slot whose stamp or dirtiness changed moves in
+   O(log capacity), and the victim is read off the root. *)
+
+let[@inline] before a b = if a.dirty <> b.dirty then b.dirty else a.stamp < b.stamp
+
+let[@inline] place t i slot =
+  Array.unsafe_set t.heap i slot;
+  slot.pos <- i
+
+let rec sift_up t i slot =
+  if i = 0 then place t 0 slot
+  else begin
+    let parent = (i - 1) / 2 in
+    let above = Array.unsafe_get t.heap parent in
+    if before slot above then begin
+      place t i above;
+      sift_up t parent slot
+    end
+    else place t i slot
+  end
+
+let rec sift_down t i slot =
+  let left = (2 * i) + 1 in
+  if left >= t.heap_len then place t i slot
+  else begin
+    let right = left + 1 in
+    let child =
+      if right < t.heap_len
+         && before (Array.unsafe_get t.heap right) (Array.unsafe_get t.heap left)
+      then right
+      else left
+    in
+    let below = Array.unsafe_get t.heap child in
+    if before below slot then begin
+      place t i below;
+      sift_down t child slot
+    end
+    else place t i slot
+  end
+
+let reposition t slot =
+  let i = slot.pos in
+  if i > 0 && before slot (Array.unsafe_get t.heap ((i - 1) / 2)) then sift_up t i slot
+  else sift_down t i slot
+
+let heap_push t slot =
+  if t.heap_len = Array.length t.heap then begin
+    (* Only [install] overfills the pool (restart seeds every recovered
+       page); misses evict first. *)
+    let grown = Array.make (2 * t.heap_len) t.vacant in
+    Array.blit t.heap 0 grown 0 t.heap_len;
+    t.heap <- grown
+  end;
+  t.heap_len <- t.heap_len + 1;
+  sift_up t (t.heap_len - 1) slot
+
+let heap_remove t slot =
+  let i = slot.pos in
+  let last = t.heap_len - 1 in
+  let moved = t.heap.(last) in
+  t.heap.(last) <- t.vacant;
+  t.heap_len <- last;
+  slot.pos <- -1;
+  if i < last then begin
+    place t i moved;
+    reposition t moved
+  end
+
+let add_slot t page ~stamp =
+  let slot = { page; stamp; dirty = Page.is_dirty page; pos = -1 } in
+  Hashtbl.replace t.slots page.Page.id slot;
+  heap_push t slot;
+  slot
+
+(* Re-file a page after its dirtiness changed; pages no longer cached
+   (evicted while a flush or an update was in flight) are not in the
+   heap. *)
+let sync_dirty t page =
+  match Hashtbl.find_opt t.slots page.Page.id with
+  | Some slot when slot.page == page && slot.dirty <> Page.is_dirty page ->
+      slot.dirty <- not slot.dirty;
+      reposition t slot
+  | Some _ | None -> ()
+
 let touch t slot =
   t.clock <- t.clock + 1;
-  slot.stamp <- t.clock
+  slot.stamp <- t.clock;
+  if slot.pos >= 0 then sift_down t slot.pos slot
 
 let flush_page_locked t page =
   if Page.is_dirty page then begin
@@ -89,32 +191,18 @@ let flush_page_locked t page =
     else
       (* Updated while flushing: still dirty, and redo from the snapshot
          LSN is a safe (conservative) restart point. *)
-      page.Page.rec_lsn <- Some snapshot_lsn
+      page.Page.rec_lsn <- Some snapshot_lsn;
+    sync_dirty t page
   end
 
 let evict_victim t =
   (* Oldest clean page if any; otherwise oldest dirty page, flushed on the
      way out. *)
-  let candidate =
-    Hashtbl.fold
-      (fun _ slot best ->
-        let better current =
-          match current with
-          | None -> true
-          | Some chosen ->
-              let clean s = not (Page.is_dirty s.page) in
-              if clean slot <> clean chosen then clean slot
-              else slot.stamp < chosen.stamp
-        in
-        if better best then Some slot else best)
-      t.slots None
-  in
-  match candidate with
-  | None -> ()
-  | Some slot ->
-      flush_page_locked t slot.page;
-      Hashtbl.remove t.slots slot.page.Page.id;
-      t.evictions <- t.evictions + 1
+  let slot = t.heap.(0) in
+  flush_page_locked t slot.page;
+  Hashtbl.remove t.slots slot.page.Page.id;
+  heap_remove t slot;
+  t.evictions <- t.evictions + 1
 
 (* Pick the newest intact image of the two slot copies; [None] if
    neither parses. *)
@@ -157,7 +245,8 @@ let fetch t id =
 let install t page ~dirty_at ~parity =
   page.Page.rec_lsn <- dirty_at;
   t.clock <- t.clock + 1;
-  Hashtbl.replace t.slots page.Page.id { page; stamp = t.clock };
+  Option.iter (heap_remove t) (Hashtbl.find_opt t.slots page.Page.id);
+  ignore (add_slot t page ~stamp:t.clock);
   (* Whether or not its image is current, the slot now exists on device
      once flushed; treating it as allocated means a later eviction+refetch
      reads the image instead of fabricating an empty page. *)
@@ -186,16 +275,16 @@ let with_page t ~key f =
                 while Hashtbl.length t.slots >= t.config.capacity_pages do
                   evict_victim t
                 done;
-                let slot = { page; stamp = 0 } in
-                Hashtbl.replace t.slots id slot;
-                slot)
+                add_slot t page ~stamp:0)
   in
   touch t slot;
   f slot.page
 
-let mark_dirty _t page ~lsn =
+let mark_dirty t page ~lsn =
   match page.Page.rec_lsn with
-  | None -> page.Page.rec_lsn <- Some lsn
+  | None ->
+      page.Page.rec_lsn <- Some lsn;
+      sync_dirty t page
   | Some _ -> ()
 
 let flush_page t page = flush_page_locked t page

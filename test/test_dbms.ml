@@ -1782,3 +1782,42 @@ let pool_matches_model_prop =
 let pool_model_suite = ("dbms.buffer_pool_model", [ pool_matches_model_prop ])
 
 let suites = suites @ [ pool_model_suite ]
+
+(* A miss that evicts must cost the same whatever the pool's size: the
+   victim comes from an index, not a walk over every cached page. The
+   rest of a miss (the fresh page, the table insert, the fetch lock)
+   allocates the same at any capacity, so the two counts must agree to
+   within a word; a walk that boxes each new running minimum already
+   drifts by about eight words between 64 and 4,096 pages. Every page
+   is clean and was never written, so each miss materialises an empty
+   page and evicts without device I/O. *)
+let eviction_allocation_flat () =
+  let words_per_eviction capacity =
+    run_in_sim (fun sim ->
+        let dev = Storage.Ssd.create sim Storage.Ssd.default in
+        let config = { Buffer_pool.default_config with capacity_pages = capacity } in
+        let pool = Buffer_pool.create sim config ~device:dev ~wal_force:(fun ~page:_ _ -> ()) in
+        let keys_per_page = config.Buffer_pool.keys_per_page in
+        let touch id = Buffer_pool.with_page pool ~key:(id * keys_per_page) ignore in
+        for id = 0 to capacity + 99 do
+          touch id
+        done;
+        let misses = 1_000 in
+        let before = Gc.minor_words () in
+        for id = capacity + 100 to capacity + 99 + misses do
+          touch id
+        done;
+        let words = Gc.minor_words () -. before in
+        Alcotest.(check int) "every access evicted" (misses + 100)
+          (Buffer_pool.evictions pool);
+        words /. float_of_int misses)
+  in
+  let small = words_per_eviction 64 and large = words_per_eviction 4096 in
+  if large > small +. 1. then
+    Alcotest.failf "a miss with eviction allocates %.1f words at capacity 4,096 vs %.1f at 64"
+      large small
+
+let pool_cost_suite =
+  ("dbms.buffer_pool_cost", [ case "eviction allocation flat in pool capacity" eviction_allocation_flat ])
+
+let suites = suites @ [ pool_cost_suite ]
