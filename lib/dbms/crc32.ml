@@ -17,40 +17,35 @@
 let mask = 0xFFFFFFFF
 
 let tables =
-  lazy
-    (let t0 =
-       Array.init 256 (fun n ->
-           let c = ref n in
-           for _ = 0 to 7 do
-             if !c land 1 <> 0 then c := 0xEDB88320 lxor (!c lsr 1)
-             else c := !c lsr 1
-           done;
-           !c)
-     in
-     let tables = Array.make 8 t0 in
-     for k = 1 to 7 do
-       let prev = tables.(k - 1) in
-       tables.(k) <-
-         Array.init 256 (fun n ->
-             let c = prev.(n) in
-             t0.(c land 0xFF) lxor (c lsr 8))
-     done;
-     tables)
+  let t0 =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          if !c land 1 <> 0 then c := 0xEDB88320 lxor (!c lsr 1) else c := !c lsr 1
+        done;
+        !c)
+  in
+  let tables = Array.make 8 t0 in
+  for k = 1 to 7 do
+    let prev = tables.(k - 1) in
+    tables.(k) <- Array.init 256 (fun n -> t0.(prev.(n) land 0xFF) lxor (prev.(n) lsr 8))
+  done;
+  tables
+
+let t0 = tables.(0)
+let t1 = tables.(1)
+let t2 = tables.(2)
+let t3 = tables.(3)
+let t4 = tables.(4)
+let t5 = tables.(5)
+let t6 = tables.(6)
+let t7 = tables.(7)
 
 let[@inline] byte_s s i = Char.code (String.unsafe_get s i)
 let[@inline] byte_b b i = Char.code (Bytes.unsafe_get b i)
 
 let update_string_raw crc0 s ~pos ~len =
   assert (pos >= 0 && len >= 0);
-  let tables = Lazy.force tables in
-  let t0 = Array.unsafe_get tables 0
-  and t1 = Array.unsafe_get tables 1
-  and t2 = Array.unsafe_get tables 2
-  and t3 = Array.unsafe_get tables 3
-  and t4 = Array.unsafe_get tables 4
-  and t5 = Array.unsafe_get tables 5
-  and t6 = Array.unsafe_get tables 6
-  and t7 = Array.unsafe_get tables 7 in
   let crc = ref crc0 in
   let i = ref pos in
   let stop = pos + len in
@@ -79,15 +74,6 @@ let digest_string_raw s ~pos ~len =
 
 let digest_bytes_raw b ~pos ~len =
   assert (pos >= 0 && len >= 0);
-  let tables = Lazy.force tables in
-  let t0 = Array.unsafe_get tables 0
-  and t1 = Array.unsafe_get tables 1
-  and t2 = Array.unsafe_get tables 2
-  and t3 = Array.unsafe_get tables 3
-  and t4 = Array.unsafe_get tables 4
-  and t5 = Array.unsafe_get tables 5
-  and t6 = Array.unsafe_get tables 6
-  and t7 = Array.unsafe_get tables 7 in
   let crc = ref mask in
   let i = ref pos in
   let stop = pos + len in
@@ -131,9 +117,45 @@ type state = int
 
 let init = mask
 
-let[@inline] update_byte crc b =
-  let t0 = Array.unsafe_get (Lazy.force tables) 0 in
-  Array.unsafe_get t0 ((crc lxor b) land 0xFF) lxor (crc lsr 8)
+let[@inline] update_byte crc b = Array.unsafe_get t0 ((crc lxor b) land 0xFF) lxor (crc lsr 8)
+
+(* The word updates are the slicing steps of [update_string_raw] with
+   the input bytes taken from an int instead of memory: four bytes go
+   through tables 3..0, eight through 7..0. *)
+let[@inline] slice4 c =
+  Array.unsafe_get t3 (c land 0xFF)
+  lxor Array.unsafe_get t2 ((c lsr 8) land 0xFF)
+  lxor Array.unsafe_get t1 ((c lsr 16) land 0xFF)
+  lxor Array.unsafe_get t0 ((c lsr 24) land 0xFF)
+
+let[@inline] update_u32 crc v = slice4 (crc lxor (v land mask))
+
+let[@inline] update_u64 crc v =
+  let c = crc lxor (v land mask) and hi = (v asr 32) land mask in
+  Array.unsafe_get t7 (c land 0xFF)
+  lxor Array.unsafe_get t6 ((c lsr 8) land 0xFF)
+  lxor Array.unsafe_get t5 ((c lsr 16) land 0xFF)
+  lxor Array.unsafe_get t4 ((c lsr 24) land 0xFF)
+  lxor slice4 hi
+
+(* A zero byte contributes nothing to the table lookups it feeds
+   ([tk.(0) = 0]), so eight zeros advance the register through tables
+   7..4 alone. *)
+let update_zeros crc n =
+  if n < 0 then invalid_arg "Crc32.update_zeros";
+  let crc = ref crc in
+  for _ = 1 to n / 8 do
+    let c = !crc in
+    crc :=
+      Array.unsafe_get t7 (c land 0xFF)
+      lxor Array.unsafe_get t6 ((c lsr 8) land 0xFF)
+      lxor Array.unsafe_get t5 ((c lsr 16) land 0xFF)
+      lxor Array.unsafe_get t4 ((c lsr 24) land 0xFF)
+  done;
+  for _ = 1 to n land 7 do
+    crc := update_byte !crc 0
+  done;
+  !crc
 
 let update_string crc s ~pos ~len =
   if pos < 0 || len < 0 || pos + len > String.length s then

@@ -24,6 +24,21 @@ let crc32_detects_bitflip () =
   let b = Crc32.digest_string "log recOrd payload" in
   Alcotest.(check bool) "differs" true (a <> b)
 
+let crc32_fold_bytes state bytes =
+  Bytes.fold_left (fun crc c -> Crc32.update_byte crc (Char.code c)) state bytes
+
+let crc32_word_updates_prop =
+  prop "word updates equal folding update_byte over their bytes" ~count:500
+    QCheck2.Gen.(triple (map (fun x -> x land 0xFFFFFFFF) int) int (int_range 0 40))
+    (fun (state, v, zeros) ->
+      let le32 = Bytes.create 4 and le64 = Bytes.create 8 in
+      Bytes.set_int32_le le32 0 (Int32.of_int v);
+      Bytes.set_int64_le le64 0 (Int64.of_int v);
+      Crc32.update_u32 state v = crc32_fold_bytes state le32
+      && Crc32.update_u64 state v = crc32_fold_bytes state le64
+      && Crc32.update_zeros state zeros
+         = crc32_fold_bytes state (Bytes.make zeros '\000'))
+
 (* -- Lsn ---------------------------------------------------------------- *)
 
 let lsn_ops () =
@@ -168,6 +183,29 @@ let page_roundtrip_prop =
             (fun (key, _) -> Page.get decoded ~key = Page.get page ~key)
             entries
       | None -> false)
+
+(* One image byte for byte, captured from the implementation that
+   staged entries in a side buffer: the on-device format is fixed, so
+   any change to how the image is built must reproduce it. *)
+let page_golden_image () =
+  let page = Page.create ~id:7 in
+  List.iter
+    (fun (key, value) -> Page.set page ~key ~value ~lsn:(Lsn.of_int 4242))
+    [ (127, "a longer value, stored last"); (112, "alpha"); (113, ""); (120, "\x00\xff\x10") ];
+  let golden =
+    "454741500700000000000000921000000000000004000000528e35837000000000000000\
+     05000000616c70686171000000000000000000000078000000000000000300000000ff10\
+     7f000000000000001b00000061206c6f6e6765722076616c75652c2073746f726564206c\
+     617374"
+  in
+  let image = Page.serialize page ~page_bytes:512 in
+  let used = String.length golden / 2 in
+  Alcotest.(check int) "image size" 512 (String.length image);
+  Alcotest.(check string) "entries region" golden
+    (String.concat ""
+       (List.init used (fun i -> Printf.sprintf "%02x" (Char.code image.[i]))));
+  Alcotest.(check string) "zero padding" (String.make (512 - used) '\000')
+    (String.sub image used (512 - used))
 
 let page_torn_image_rejected () =
   let page = Page.create ~id:1 in
@@ -717,6 +755,7 @@ let suites =
         case "empty string" crc32_empty;
         case "slice consistency" crc32_slice_consistency;
         case "detects bit flips" crc32_detects_bitflip;
+        crc32_word_updates_prop;
       ] );
     ("dbms.lsn", [ case "arithmetic and comparisons" lsn_ops ]);
     ( "dbms.log_record",
@@ -734,6 +773,7 @@ let suites =
     ( "dbms.page",
       [
         case "serialize/deserialize roundtrip" page_roundtrip;
+        case "golden image" page_golden_image;
         page_roundtrip_prop;
         case "torn image rejected" page_torn_image_rejected;
         case "unwritten slot rejected" page_unwritten_rejected;
