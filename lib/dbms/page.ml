@@ -23,27 +23,29 @@ let set t ~key ~value ~lsn =
 let is_dirty t = t.rec_lsn <> None
 
 let serialize t ~page_bytes =
-  let entries = Buffer.create 512 in
-  let add_entry key value =
-    let b = Bytes.create 12 in
-    Bytes.set_int64_le b 0 (Int64.of_int key);
-    Bytes.set_int32_le b 8 (Int32.of_int (String.length value));
-    Buffer.add_bytes entries b;
-    Buffer.add_string entries value
-  in
-  (* Deterministic image: entries in key order. *)
-  let keys = List.sort Int.compare (List.of_seq (Hashtbl.to_seq_keys t.values)) in
-  List.iter (fun key -> add_entry key (Hashtbl.find t.values key)) keys;
-  let body = Buffer.contents entries in
-  if header_size + String.length body > page_bytes then
-    invalid_arg "Page.serialize: contents exceed page size";
   let image = Bytes.make page_bytes '\000' in
+  let fits stop =
+    if stop > page_bytes then invalid_arg "Page.serialize: contents exceed page size"
+  in
+  fits header_size;
+  (* Deterministic image: entries in key order, written in place. *)
+  let keys = List.sort Int.compare (List.of_seq (Hashtbl.to_seq_keys t.values)) in
+  let add_entry pos key =
+    let value = Hashtbl.find t.values key in
+    let len = String.length value in
+    fits (pos + 12 + len);
+    Bytes.set_int64_le image pos (Int64.of_int key);
+    Bytes.set_int32_le image (pos + 8) (Int32.of_int len);
+    Bytes.blit_string value 0 image (pos + 12) len;
+    pos + 12 + len
+  in
+  let stop = List.fold_left add_entry header_size keys in
   Bytes.set_int32_le image 0 magic;
   Bytes.set_int64_le image 4 (Int64.of_int t.id);
   Bytes.set_int64_le image 12 (Int64.of_int (Lsn.to_int t.page_lsn));
   Bytes.set_int32_le image 20 (Int32.of_int (List.length keys));
-  Bytes.set_int32_le image 24 (Crc32.digest_string body);
-  Bytes.blit_string body 0 image header_size (String.length body);
+  Bytes.set_int32_le image 24
+    (Crc32.digest_bytes image ~pos:header_size ~len:(stop - header_size));
   Bytes.unsafe_to_string image
 
 let deserialize image =
