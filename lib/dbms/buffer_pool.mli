@@ -8,6 +8,15 @@
     uncommitted data can reach the data device, which is why recovery
     needs an undo pass).
 
+    {b Victim rule.} Every access stamps its page with the next tick of
+    a pool-wide clock. A miss at capacity evicts the clean page with the
+    smallest stamp; if no cached page is clean, the dirty page with the
+    smallest stamp. Stamps are unique, so the victim is unique. The
+    cached pages sit in an indexed binary min-heap ordered clean before
+    dirty, then by stamp: an access, a change of dirtiness (mark, flush,
+    install) and an eviction each cost O(log capacity) and allocate
+    nothing, and the victim is the heap's root.
+
     {b Torn-page protection.} A page image spans many sectors, and a
     power cut can tear a write at sector granularity — which would
     destroy the page's only durable copy if images were updated in
