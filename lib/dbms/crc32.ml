@@ -42,7 +42,6 @@ let t6 = tables.(6)
 let t7 = tables.(7)
 
 let[@inline] byte_s s i = Char.code (String.unsafe_get s i)
-let[@inline] byte_b b i = Char.code (Bytes.unsafe_get b i)
 
 let update_string_raw crc0 s ~pos ~len =
   assert (pos >= 0 && len >= 0);
@@ -72,30 +71,8 @@ let update_string_raw crc0 s ~pos ~len =
 let digest_string_raw s ~pos ~len =
   Int32.of_int (update_string_raw mask s ~pos ~len lxor mask land mask)
 
-let digest_bytes_raw b ~pos ~len =
-  assert (pos >= 0 && len >= 0);
-  let crc = ref mask in
-  let i = ref pos in
-  let stop = pos + len in
-  while stop - !i >= 8 do
-    let j = !i in
-    let c = !crc in
-    crc :=
-      Array.unsafe_get t7 ((c lxor byte_b b j) land 0xFF)
-      lxor Array.unsafe_get t6 (((c lsr 8) lxor byte_b b (j + 1)) land 0xFF)
-      lxor Array.unsafe_get t5 (((c lsr 16) lxor byte_b b (j + 2)) land 0xFF)
-      lxor Array.unsafe_get t4 (((c lsr 24) lxor byte_b b (j + 3)) land 0xFF)
-      lxor Array.unsafe_get t3 (byte_b b (j + 4))
-      lxor Array.unsafe_get t2 (byte_b b (j + 5))
-      lxor Array.unsafe_get t1 (byte_b b (j + 6))
-      lxor Array.unsafe_get t0 (byte_b b (j + 7));
-    i := j + 8
-  done;
-  while !i < stop do
-    crc := Array.unsafe_get t0 ((!crc lxor byte_b b !i) land 0xFF) lxor (!crc lsr 8);
-    incr i
-  done;
-  Int32.of_int (!crc lxor mask land mask)
+(* Read-only for the duration of the call, so the string view is safe. *)
+let digest_bytes_raw b ~pos ~len = digest_string_raw (Bytes.unsafe_to_string b) ~pos ~len
 
 let digest s ~pos ~len =
   if pos < 0 || len < 0 || pos + len > String.length s then
