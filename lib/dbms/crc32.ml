@@ -98,36 +98,32 @@ let[@inline] update_byte crc b = Array.unsafe_get t0 ((crc lxor b) land 0xFF) lx
 
 (* The word updates are the slicing steps of [update_string_raw] with
    the input bytes taken from an int instead of memory: four bytes go
-   through tables 3..0, eight through 7..0. *)
-let[@inline] slice4 c =
+   through tables 3..0, eight through 7..0. [slice_lo4] and [slice_hi4]
+   fold the four bytes of a 32-bit value through tables 3..0 and 7..4. *)
+let[@inline] slice_lo4 c =
   Array.unsafe_get t3 (c land 0xFF)
   lxor Array.unsafe_get t2 ((c lsr 8) land 0xFF)
   lxor Array.unsafe_get t1 ((c lsr 16) land 0xFF)
   lxor Array.unsafe_get t0 ((c lsr 24) land 0xFF)
 
-let[@inline] update_u32 crc v = slice4 (crc lxor (v land mask))
-
-let[@inline] update_u64 crc v =
-  let c = crc lxor (v land mask) and hi = (v asr 32) land mask in
+let[@inline] slice_hi4 c =
   Array.unsafe_get t7 (c land 0xFF)
   lxor Array.unsafe_get t6 ((c lsr 8) land 0xFF)
   lxor Array.unsafe_get t5 ((c lsr 16) land 0xFF)
   lxor Array.unsafe_get t4 ((c lsr 24) land 0xFF)
-  lxor slice4 hi
+
+let[@inline] update_u32 crc v = slice_lo4 (crc lxor (v land mask))
+
+let[@inline] update_u64 crc v =
+  slice_hi4 (crc lxor (v land mask)) lxor slice_lo4 ((v asr 32) land mask)
 
 (* A zero byte contributes nothing to the table lookups it feeds
-   ([tk.(0) = 0]), so eight zeros advance the register through tables
-   7..4 alone. *)
+   ([tk.(0) = 0]), so eight zeros are one [slice_hi4] step. *)
 let update_zeros crc n =
   if n < 0 then invalid_arg "Crc32.update_zeros";
   let crc = ref crc in
   for _ = 1 to n / 8 do
-    let c = !crc in
-    crc :=
-      Array.unsafe_get t7 (c land 0xFF)
-      lxor Array.unsafe_get t6 ((c lsr 8) land 0xFF)
-      lxor Array.unsafe_get t5 ((c lsr 16) land 0xFF)
-      lxor Array.unsafe_get t4 ((c lsr 24) land 0xFF)
+    crc := slice_hi4 !crc
   done;
   for _ = 1 to n land 7 do
     crc := update_byte !crc 0

@@ -23,11 +23,11 @@ let set t ~key ~value ~lsn =
 let is_dirty t = t.rec_lsn <> None
 
 let serialize t ~page_bytes =
-  let image = Bytes.make page_bytes '\000' in
   let fits stop =
     if stop > page_bytes then invalid_arg "Page.serialize: contents exceed page size"
   in
   fits header_size;
+  let image = Bytes.make page_bytes '\000' in
   (* Deterministic image: entries in key order, written in place. *)
   let keys = List.sort Int.compare (List.of_seq (Hashtbl.to_seq_keys t.values)) in
   let add_entry pos key =
