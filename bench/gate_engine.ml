@@ -12,6 +12,7 @@
      arithmetic, the WAL stream append, the adaptive group-commit
      decision and the workload generators' random draws — all gated
      allocation-free;
+   - the recovery scan's allocation per byte of log it reads;
    - the commit-path grid: throughput and p50/p99 commit latency across
      device × WAL stream count × commit policy × client count, with the
      adaptive policy required to beat fixed batching on p99 at every
@@ -212,6 +213,47 @@ let bench_log_append ~events =
         if Buffer.length buf > limit then Buffer.clear buf;
         append_pair ()
       done)
+
+(* The recovery scan reads the log through one reused window and
+   allocates, beyond it, only the records it returns: about one byte
+   per byte of this log (mostly after-images). A scan that copies each
+   2 MiB chunk into a fresh window allocates more than two. The
+   dbms.log_scan test holds the same bound. *)
+let scan_bytes_per_log_byte = 1.5
+
+let measure_recovery_scan () =
+  let rng = Desim.Rng.create 53L in
+  let sector = 512 in
+  let bytes = 4 * Dbms.Recovery.scan_chunk_sectors * sector in
+  let buf = Buffer.create (bytes + 8192) in
+  let txid = ref 0 in
+  while Buffer.length buf < bytes do
+    incr txid;
+    let txid = !txid in
+    Dbms.Log_record.encode_into (Dbms.Log_record.Begin { txid }) buf;
+    Dbms.Log_record.encode_into
+      (Dbms.Log_record.Update
+         {
+           txid;
+           key = Desim.Rng.int rng 500;
+           before = "";
+           after = String.make (1 + Desim.Rng.int rng 4_000) 'v';
+         })
+      buf;
+    Dbms.Log_record.encode_into (Dbms.Log_record.Commit { txid }) buf
+  done;
+  let wal_config = Dbms.Wal.default_config in
+  let media = Storage.Block.Media.create ~sector_size:sector ~capacity_sectors:(1 lsl 17) in
+  let padded = (Buffer.length buf + sector - 1) / sector * sector in
+  Buffer.add_string buf (String.make (padded - Buffer.length buf) '\000');
+  Storage.Block.Media.write media ~lba:wal_config.Dbms.Wal.log_start_lba
+    ~data:(Buffer.contents buf);
+  let log_device = Storage.Block.of_media media in
+  Gc.full_major ();
+  let before = Gc.allocated_bytes () in
+  let records = Dbms.Recovery.scan_records ~log_device ~wal_config in
+  let allocated = Gc.allocated_bytes () -. before in
+  (List.length records, bytes, allocated /. float_of_int bytes)
 
 let adaptive_policy = Dbms.Commit_policy.Adaptive { target_ns = 100_000; max_batch = 16 }
 
@@ -439,6 +481,19 @@ let engine (g : Gate.t) =
   micro "commit_policy" "decisions" bench_commit_policy;
   micro "rng_int" "draws" bench_rng_int;
   micro "rng_zipf" "draws" bench_rng_zipf;
+  let scan_records, scan_bytes, scan_per_byte = measure_recovery_scan () in
+  Printf.printf "engine: recovery scan %d records, %.2f B allocated per log byte\n%!"
+    scan_records scan_per_byte;
+  Gate.check g "alloc.recovery_scan" (scan_per_byte <= scan_bytes_per_log_byte)
+    (Printf.sprintf "allocates %.2f B per log byte (bound %.2f)" scan_per_byte
+       scan_bytes_per_log_byte);
+  Gate.report g "recovery_scan"
+    (Obj
+       [
+         ("records", Gate.num_int scan_records);
+         ("log_bytes", Gate.num_int scan_bytes);
+         ("bytes_allocated_per_log_byte", Num scan_per_byte);
+       ]);
 
   let n = if quick then 2 else 3 in
   let wheel_rate, wheel_words, wheel_fp = best_of n (fun () -> Wheel_mix.run ~events) in

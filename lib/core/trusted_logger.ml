@@ -243,8 +243,7 @@ let backend t =
         Storage.Block.read t.device ~lba ~sectors);
     be_write = (fun ~lba ~data ~fua:_ -> accept_write t ~lba ~data);
     be_flush = (fun () -> ());
-    be_durable_read =
-      (fun ~lba ~sectors -> Storage.Block.durable_read t.device ~lba ~sectors);
+    be_durable_read_into = Storage.Block.durable_read_into t.device;
     be_durable_extent = (fun () -> Storage.Block.durable_extent t.device);
   }
 

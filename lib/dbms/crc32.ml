@@ -43,6 +43,33 @@ let t7 = tables.(7)
 
 let[@inline] byte_s s i = Char.code (String.unsafe_get s i)
 
+external get32u : string -> int -> int32 = "%caml_string_get32u"
+external bswap32 : int32 -> int32 = "%bswap_int32"
+
+(* The little-endian 32-bit word at [i], unsigned, as an untagged int. *)
+let[@inline] word_s s i =
+  if Sys.big_endian then Int32.to_int (bswap32 (get32u s i)) land mask
+  else Int32.to_int (get32u s i) land mask
+
+(* The word updates further down are these slicing steps with the input
+   bytes taken from an int instead of memory: four bytes go through
+   tables 3..0, eight through 7..0. [slice_lo4] and [slice_hi4] fold the
+   four bytes of a 32-bit value through tables 3..0 and 7..4. *)
+let[@inline] slice_lo4 c =
+  Array.unsafe_get t3 (c land 0xFF)
+  lxor Array.unsafe_get t2 ((c lsr 8) land 0xFF)
+  lxor Array.unsafe_get t1 ((c lsr 16) land 0xFF)
+  lxor Array.unsafe_get t0 ((c lsr 24) land 0xFF)
+
+let[@inline] slice_hi4 c =
+  Array.unsafe_get t7 (c land 0xFF)
+  lxor Array.unsafe_get t6 ((c lsr 8) land 0xFF)
+  lxor Array.unsafe_get t5 ((c lsr 16) land 0xFF)
+  lxor Array.unsafe_get t4 ((c lsr 24) land 0xFF)
+
+(* Eight input bytes per iteration, loaded as two 32-bit words: the
+   first folds into the register and goes through tables 7..4, the
+   second through tables 3..0. *)
 let update_string_raw crc0 s ~pos ~len =
   assert (pos >= 0 && len >= 0);
   let crc = ref crc0 in
@@ -50,16 +77,7 @@ let update_string_raw crc0 s ~pos ~len =
   let stop = pos + len in
   while stop - !i >= 8 do
     let j = !i in
-    let c = !crc in
-    crc :=
-      Array.unsafe_get t7 ((c lxor byte_s s j) land 0xFF)
-      lxor Array.unsafe_get t6 (((c lsr 8) lxor byte_s s (j + 1)) land 0xFF)
-      lxor Array.unsafe_get t5 (((c lsr 16) lxor byte_s s (j + 2)) land 0xFF)
-      lxor Array.unsafe_get t4 (((c lsr 24) lxor byte_s s (j + 3)) land 0xFF)
-      lxor Array.unsafe_get t3 (byte_s s (j + 4))
-      lxor Array.unsafe_get t2 (byte_s s (j + 5))
-      lxor Array.unsafe_get t1 (byte_s s (j + 6))
-      lxor Array.unsafe_get t0 (byte_s s (j + 7));
+    crc := slice_hi4 (!crc lxor word_s s j) lxor slice_lo4 (word_s s (j + 4));
     i := j + 8
   done;
   while !i < stop do
@@ -95,22 +113,6 @@ type state = int
 let init = mask
 
 let[@inline] update_byte crc b = Array.unsafe_get t0 ((crc lxor b) land 0xFF) lxor (crc lsr 8)
-
-(* The word updates are the slicing steps of [update_string_raw] with
-   the input bytes taken from an int instead of memory: four bytes go
-   through tables 3..0, eight through 7..0. [slice_lo4] and [slice_hi4]
-   fold the four bytes of a 32-bit value through tables 3..0 and 7..4. *)
-let[@inline] slice_lo4 c =
-  Array.unsafe_get t3 (c land 0xFF)
-  lxor Array.unsafe_get t2 ((c lsr 8) land 0xFF)
-  lxor Array.unsafe_get t1 ((c lsr 16) land 0xFF)
-  lxor Array.unsafe_get t0 ((c lsr 24) land 0xFF)
-
-let[@inline] slice_hi4 c =
-  Array.unsafe_get t7 (c land 0xFF)
-  lxor Array.unsafe_get t6 ((c lsr 8) land 0xFF)
-  lxor Array.unsafe_get t5 ((c lsr 16) land 0xFF)
-  lxor Array.unsafe_get t4 ((c lsr 24) land 0xFF)
 
 let[@inline] update_u32 crc v = slice_lo4 (crc lxor (v land mask))
 

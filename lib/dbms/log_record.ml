@@ -158,65 +158,73 @@ let encode_into t buf =
 let u64 s pos = Int64.to_int (String.get_int64_le s pos)
 let u32 s pos = Int32.to_int (String.get_int32_le s pos)
 
+(* Returned by {!decode_at} for bytes that are not a valid record; only
+   ever compared with [==] (no decoded [Noop] has a negative filler). *)
+let no_record = Noop { filler = -1 }
+
+(* Decoded fillers up to this size share one immutable value each. *)
+let noops = Array.init 257 (fun filler -> Noop { filler })
+
 let decode_body kind s ~pos ~len =
   let fits n = len >= n in
   match kind with
-  | 1 when fits 8 -> Some (Begin { txid = u64 s pos })
-  | 3 when fits 8 -> Some (Commit { txid = u64 s pos })
-  | 4 when fits 8 -> Some (Abort { txid = u64 s pos })
-  | 5 when fits 8 -> Some (Checkpoint { redo_lsn = Lsn.of_int (u64 s pos) })
-  | 6 -> Some (Noop { filler = len })
+  | 1 when fits 8 -> Begin { txid = u64 s pos }
+  | 3 when fits 8 -> Commit { txid = u64 s pos }
+  | 4 when fits 8 -> Abort { txid = u64 s pos }
+  | 5 when fits 8 -> Checkpoint { redo_lsn = Lsn.of_int (u64 s pos) }
+  | 6 -> if len < Array.length noops then noops.(len) else Noop { filler = len }
   | 2 when fits 20 ->
       let blen = u32 s (pos + 16) in
-      if blen < 0 || 20 + blen + 4 > len then None
+      if blen < 0 || 20 + blen + 4 > len then no_record
       else begin
         let alen = u32 s (pos + 20 + blen) in
-        if alen < 0 || 20 + blen + 4 + alen <> len then None
+        if alen < 0 || 20 + blen + 4 + alen <> len then no_record
         else
-          Some
-            (Update
-               {
-                 txid = u64 s pos;
-                 key = u64 s (pos + 8);
-                 before = String.sub s (pos + 20) blen;
-                 after = String.sub s (pos + 24 + blen) alen;
-               })
+          Update
+            {
+              txid = u64 s pos;
+              key = u64 s (pos + 8);
+              before = String.sub s (pos + 20) blen;
+              after = String.sub s (pos + 24 + blen) alen;
+            }
       end
   | (7 | 8) when fits 9 ->
       let count = String.get_uint8 s (pos + 8) in
-      if len <> 9 + (8 * count) then None
+      if len <> 9 + (8 * count) then no_record
       else begin
         let deps = Array.init count (fun i -> u64 s (pos + 9 + (8 * i))) in
         let txid = u64 s pos in
-        if kind = 7 then Some (Commit_multi { txid; deps })
-        else Some (Abort_multi { txid; deps })
+        if kind = 7 then Commit_multi { txid; deps } else Abort_multi { txid; deps }
       end
-  | _ -> None
+  | _ -> no_record
 
-let decode s ~pos =
-  let remaining = String.length s - pos in
-  if remaining < header_size then None
-  else if String.get_uint16_le s pos <> magic then None
+let decode_at s ~pos ~limit =
+  let remaining = limit - pos in
+  if remaining < header_size then no_record
+  else if String.get_uint16_le s pos <> magic then no_record
   else begin
     let kind = String.get_uint8 s (pos + 2) in
     let blen = u32 s (pos + 3) in
-    if blen < 0 || blen > max_body || remaining < header_size + blen then None
+    if blen < 0 || blen > max_body || remaining < header_size + blen then no_record
     else begin
       let crc = String.get_int32_le s (pos + prefix_size + blen) in
       if Crc32.digest s ~pos:(pos + 2) ~len:(prefix_size - 2 + blen) <> crc then
-        None
-      else
-        match decode_body kind s ~pos:(pos + prefix_size) ~len:blen with
-        | Some record -> Some (record, header_size + blen)
-        | None -> None
+        no_record
+      else decode_body kind s ~pos:(pos + prefix_size) ~len:blen
     end
   end
 
-let decode_stream s =
-  let rec scan pos acc =
-    match decode s ~pos with
-    | Some (record, size) ->
-        scan (pos + size) ((record, Lsn.of_int (pos + size)) :: acc)
-    | None -> List.rev acc
-  in
-  scan 0 []
+let size_at s ~pos = header_size + u32 s (pos + 3)
+
+let decode s ~pos =
+  let record = decode_at s ~pos ~limit:(String.length s) in
+  if record == no_record then None else Some (record, size_at s ~pos)
+
+let[@tail_mod_cons] rec decode_from s pos =
+  let record = decode_at s ~pos ~limit:(String.length s) in
+  if record == no_record then []
+  else
+    let stop = pos + size_at s ~pos in
+    (record, Lsn.of_int stop) :: decode_from s stop
+
+let decode_stream s = decode_from s 0

@@ -56,6 +56,22 @@ val decode : string -> pos:int -> (t * int) option
     record and its total encoded size, or [None] if the bytes at [pos]
     are not a valid record (truncated, torn, or garbage). *)
 
+val decode_at : string -> pos:int -> limit:int -> t
+(** {!decode} without the option and the pair, for scans that allocate
+    only the records they keep: the record at [pos], or {!no_record} if
+    the bytes there are not a valid record. Bytes from [limit] on count
+    as absent, so a reused buffer's stale end is never decoded
+    ([limit <= String.length s]). Test the result with [==]. Decoded
+    [Noop]s of up to 256 filler bytes are shared values. *)
+
+val no_record : t
+(** The "not a valid record" result of {!decode_at}; never equal ([==])
+    to a decoded record. *)
+
+val size_at : string -> pos:int -> int
+(** The total encoded size of the record {!decode_at} just decoded at
+    [pos]; meaningless where {!decode_at} returned {!no_record}. *)
+
 val decode_stream : string -> (t * Lsn.t) list
 (** Parse records from offset 0 until the first invalid record; each
     record is paired with its end LSN (the stream offset just past it). *)

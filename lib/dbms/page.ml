@@ -48,16 +48,26 @@ let serialize t ~page_bytes =
     (Crc32.digest_bytes image ~pos:header_size ~len:(stop - header_size));
   Bytes.unsafe_to_string image
 
-let deserialize image =
-  if String.length image < header_size then None
-  else if String.get_int32_le image 0 <> magic then None
+let image_lsn image ~id =
+  if String.length image < header_size then -1
+  else if String.get_int32_le image 0 <> magic then -1
   else begin
-    let id = Int64.to_int (String.get_int64_le image 4) in
+    let image_id = Int64.to_int (String.get_int64_le image 4) in
     let page_lsn = Int64.to_int (String.get_int64_le image 12) in
     let count = Int32.to_int (String.get_int32_le image 20) in
-    let crc = String.get_int32_le image 24 in
-    if id < 0 || page_lsn < 0 || count < 0 then None
+    if image_id <> id || image_id < 0 || page_lsn < 0 || count < 0 then -1
+    else page_lsn
+  end
+
+let deserialize image =
+  if String.length image < header_size then None
+  else begin
+    let id = Int64.to_int (String.get_int64_le image 4) in
+    let page_lsn = image_lsn image ~id in
+    if page_lsn < 0 then None
     else begin
+      let count = Int32.to_int (String.get_int32_le image 20) in
+      let crc = String.get_int32_le image 24 in
       let t = create ~id in
       t.page_lsn <- Lsn.of_int page_lsn;
       let rec read_entry pos remaining =

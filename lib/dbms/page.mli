@@ -43,3 +43,9 @@ val serialize : t -> page_bytes:int -> string
 
 val deserialize : string -> t option
 (** [None] when the image is not a valid page (unwritten or torn). *)
+
+val image_lsn : string -> id:int -> int
+(** The [page_lsn] the image's header claims, if the header is one
+    {!deserialize} accepts for page [id]; [-1] otherwise. Reads only the
+    header: an image it accepts can still fail {!deserialize} on its
+    entries or CRC. *)

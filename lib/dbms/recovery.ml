@@ -51,6 +51,18 @@ let read_durable_log ~log_device ~wal_config =
   if extent <= start then ""
   else Storage.Block.durable_read log_device ~lba:start ~sectors:(extent - start)
 
+(* Int-keyed tables for recovery's per-record lookups: an identity hash
+   instead of the generic one. Tables whose iteration order reaches the
+   result ([pages], the candidate pages, [store]) are generic
+   [Hashtbl]s filled in log order: a restart seeds its pool in the
+   store's iteration order, which is simulated behaviour. *)
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = x land max_int
+end)
+
 (* Chunked scan: read the log region a chunk at a time and decode as we
    go, stopping at the first definitively-invalid record, so the read
    stops slightly past the valid log even when the device's written
@@ -58,214 +70,313 @@ let read_durable_log ~log_device ~wal_config =
    data pages on the same device, far past the log region). Decoding
    works on a window: the undecoded tail of the previous window (at most
    one partial record) followed by the new chunk, read in one piece from
-   the sector holding the tail's first byte. [window_lba] is that
-   sector, so LSNs stay absolute. Only the tail's sectors are read
-   twice, so the scan allocates in proportion to the log it reads. *)
+   the sector holding the tail's first byte into one reused buffer.
+   [lba] is that sector, so LSNs stay absolute. Only the tail's sectors
+   are read twice, and the scan allocates the window once plus the
+   records it returns. *)
 let scan_chunk_sectors = 4096
 
-let scan_records_region ~log_device ~start ~limit_lba =
-  let sector_size = (Storage.Block.info log_device).Storage.Block.sector_size in
-  let extent = min (Storage.Block.durable_extent log_device) limit_lba in
-  let records = ref [] in
-  let window = ref "" in
-  let window_lba = ref start in
-  let pos = ref 0 in
-  let finished = ref false in
-  let next_lba = ref start in
-  while not !finished do
-    if !next_lba >= extent then finished := true
-    else begin
-      let sectors = min scan_chunk_sectors (extent - !next_lba) in
-      let tail_lba = !window_lba + (!pos / sector_size) in
-      window :=
-        Storage.Block.durable_read log_device ~lba:tail_lba
-          ~sectors:(!next_lba + sectors - tail_lba);
-      next_lba := !next_lba + sectors;
-      window_lba := tail_lba;
-      pos := !pos mod sector_size;
-      let base = (tail_lba - start) * sector_size in
-      let progressing = ref true in
-      while !progressing do
-        match Log_record.decode !window ~pos:!pos with
-        | Some (record, size) ->
-            pos := !pos + size;
-            records := (record, Lsn.of_int (base + !pos)) :: !records
-        | None -> progressing := false
-      done;
-      (* If decoding stalled with more than a maximal record still
-         unread, the next bytes are not a truncated record — they are
-         the end of the log. *)
-      if String.length !window - !pos > Log_record.max_body + 64 then
-        finished := true
-    end
-  done;
-  List.rev !records
+type window = {
+  device : Storage.Block.t;
+  ss : int;
+  start : int;  (* the region's first sector: stream offset 0 *)
+  extent : int;
+  mutable buf : Bytes.t;
+  mutable len : int;  (* bytes of [buf] read from the device *)
+  mutable lba : int;  (* the sector at [buf.[0]] *)
+  mutable pos : int;  (* the next undecoded byte of [buf] *)
+  mutable next_lba : int;  (* the first sector not read yet *)
+  mutable count : int;  (* records decoded *)
+  mutable stop : int;  (* stream offset just past the last record *)
+}
+
+let window ~log_device ~start ~limit_lba =
+  {
+    device = log_device;
+    ss = (Storage.Block.info log_device).Storage.Block.sector_size;
+    start;
+    extent = min (Storage.Block.durable_extent log_device) limit_lba;
+    buf = Bytes.empty;
+    len = 0;
+    lba = start;
+    pos = 0;
+    next_lba = start;
+    count = 0;
+    stop = 0;
+  }
+
+(* Read the next chunk behind the undecoded tail; [false] at the end of
+   the log. If decoding stalled with more than a maximal record still
+   unread, the next bytes are not a truncated record — they are the end
+   of the log. *)
+let refill w =
+  if w.len - w.pos > Log_record.max_body + 64 || w.next_lba >= w.extent then false
+  else begin
+    let sectors = min scan_chunk_sectors (w.extent - w.next_lba) in
+    let tail_lba = w.lba + (w.pos / w.ss) in
+    let read = w.next_lba + sectors - tail_lba in
+    let need = read * w.ss in
+    (* A full chunk gets slack for the tail sectors later reads carry. *)
+    if need > Bytes.length w.buf then
+      w.buf <-
+        Bytes.create
+          (if sectors = scan_chunk_sectors then need + (16 * w.ss) else need);
+    Storage.Block.durable_read_into w.device ~lba:tail_lba ~sectors:read w.buf ~off:0;
+    w.len <- need;
+    w.next_lba <- w.next_lba + sectors;
+    w.lba <- tail_lba;
+    w.pos <- w.pos mod w.ss;
+    true
+  end
+
+let end_of_scan = (Log_record.no_record, Lsn.zero)
+
+(* The next record and its end LSN, or [end_of_scan]. The window's bytes
+   are only read during the call: a decoded record owns its strings. *)
+let rec next_record w =
+  let s = Bytes.unsafe_to_string w.buf in
+  let record = Log_record.decode_at s ~pos:w.pos ~limit:w.len in
+  if record != Log_record.no_record then begin
+    w.pos <- w.pos + Log_record.size_at s ~pos:w.pos;
+    w.count <- w.count + 1;
+    w.stop <- ((w.lba - w.start) * w.ss) + w.pos;
+    (record, Lsn.of_int w.stop)
+  end
+  else if refill w then next_record w
+  else end_of_scan
+
+(* The records in log order, built front to back: no reversal. *)
+let[@tail_mod_cons] rec collect w =
+  let entry = next_record w in
+  if entry == end_of_scan then [] else entry :: collect w
+
+let scan_region ~log_device ~start ~limit_lba =
+  let w = window ~log_device ~start ~limit_lba in
+  let records = collect w in
+  (records, w)
 
 let scan_records ~log_device ~wal_config =
-  scan_records_region ~log_device ~start:wal_config.Wal.log_start_lba
-    ~limit_lba:max_int
+  fst
+    (scan_region ~log_device ~start:wal_config.Wal.log_start_lba ~limit_lba:max_int)
 
 type outcome = Won | Lost
 
-let analyse records =
-  let outcomes = Hashtbl.create 256 in
-  let seen = Hashtbl.create 256 in
-  let aborted = Hashtbl.create 16 in
-  let note_seen txid = Hashtbl.replace seen txid () in
-  List.iter
-    (fun (record, _lsn) ->
-      match record with
-      | Log_record.Begin { txid } -> note_seen txid
-      | Log_record.Update { txid; _ } -> note_seen txid
-      | Log_record.Commit { txid } ->
-          note_seen txid;
-          Hashtbl.replace outcomes txid Won
-      | Log_record.Abort { txid } ->
-          note_seen txid;
-          Hashtbl.replace outcomes txid Lost;
-          Hashtbl.replace aborted txid ()
-      (* Multi-stream outcome records only appear in multi-stream logs,
-         which {!run_multi} analyses with the dependency-validity rule;
-         in a single-stream scan they read as their plain counterparts. *)
-      | Log_record.Commit_multi { txid; _ } ->
-          note_seen txid;
-          Hashtbl.replace outcomes txid Won
-      | Log_record.Abort_multi { txid; _ } ->
-          note_seen txid;
-          Hashtbl.replace outcomes txid Lost;
-          Hashtbl.replace aborted txid ()
-      | Log_record.Checkpoint _ | Log_record.Noop _ -> ())
-    records;
-  let committed = ref [] and aborted_list = ref [] and losers = ref [] in
-  Hashtbl.iter
-    (fun txid () ->
-      match Hashtbl.find_opt outcomes txid with
-      | Some Won -> committed := txid :: !committed
-      | Some Lost -> aborted_list := txid :: !aborted_list
-      | None -> losers := txid :: !losers)
-    seen;
-  ( List.sort Int.compare !committed,
-    List.sort Int.compare !aborted_list,
-    List.sort Int.compare !losers )
+(* One analysis pass over the streams, in order. Each transaction's fate
+   lives in one int-keyed table: seen without an outcome (a loser), won
+   or lost, the last outcome record counting. A multi-stream outcome
+   counts only if its dependency vector is [valid]; the single stream
+   passes every vector. The same pass collects the candidate pages: the
+   on-media log is append-only (only the in-guest WAL memory is ever
+   truncated), so every key that ever reached a page image appears in
+   some durable update record — the distinct pages of those keys are
+   exactly the slots worth reading. This keeps recovery proportional to
+   the touched working set instead of the (sparse) key-space extent.
+   [candidates] lists them in first-appearance order. *)
+type analysis = {
+  committed : int list;
+  aborted : int list;
+  losers : int list;
+  candidates : int list;  (* newest first appearance first *)
+}
 
-(* Candidate pages: the on-media log is append-only (only the in-guest
-   WAL memory is ever truncated), so every key that ever reached a page
-   image appears in some durable update record — the distinct pages of
-   those keys are exactly the slots worth reading. This keeps recovery
-   proportional to the touched working set instead of the (sparse)
-   key-space extent. *)
-let candidate_page_ids ~pool_config records =
-  let keys_per_page = pool_config.Buffer_pool.keys_per_page in
-  let ids = Hashtbl.create 1024 in
+let fate_seen = 0
+let fate_won = 1
+let fate_lost = 2
+
+let analyse ~valid ~keys_per_page streams =
+  let fate = Int_tbl.create 256 in
+  let candidate = Int_tbl.create 1024 in
+  let candidates = ref [] in
+  let seen txid = if not (Int_tbl.mem fate txid) then Int_tbl.add fate txid fate_seen in
+  let outcome txid v = Int_tbl.replace fate txid v in
   List.iter
-    (fun (record, _lsn) ->
-      match record with
-      | Log_record.Update { key; _ } ->
-          Hashtbl.replace ids (Page.page_of_key ~keys_per_page key) ()
-      | Log_record.Begin _ | Log_record.Commit _ | Log_record.Abort _
-      | Log_record.Commit_multi _ | Log_record.Abort_multi _
-      | Log_record.Checkpoint _ | Log_record.Noop _ ->
-          ())
-    records;
-  ids
+    (List.iter (fun (record, _lsn) ->
+         match record with
+         | Log_record.Begin { txid } -> seen txid
+         | Log_record.Update { txid; key; _ } ->
+             seen txid;
+             let id = Page.page_of_key ~keys_per_page key in
+             if not (Int_tbl.mem candidate id) then begin
+               Int_tbl.add candidate id ();
+               candidates := id :: !candidates
+             end
+         | Log_record.Commit { txid } -> outcome txid fate_won
+         | Log_record.Abort { txid } -> outcome txid fate_lost
+         | Log_record.Commit_multi { txid; deps } ->
+             if valid deps then outcome txid fate_won else seen txid
+         | Log_record.Abort_multi { txid; deps } ->
+             if valid deps then outcome txid fate_lost else seen txid
+         | Log_record.Checkpoint _ | Log_record.Noop _ -> ()))
+    streams;
+  let committed = ref [] and aborted = ref [] and losers = ref [] in
+  Int_tbl.iter
+    (fun txid v ->
+      if v = fate_won then committed := txid :: !committed
+      else if v = fate_lost then aborted := txid :: !aborted
+      else losers := txid :: !losers)
+    fate;
+  {
+    committed = List.sort Int.compare !committed;
+    aborted = List.sort Int.compare !aborted;
+    losers = List.sort Int.compare !losers;
+    candidates = !candidates;
+  }
 
 (* Each page owns a pair of slots (ping-pong torn-page protection); the
-   newest slot with an intact CRC wins, and its parity is reported so a
-   restart's flushes keep avoiding the winner. *)
-let load_page_slots ~data_device ~pool_config id =
+   newest slot with an intact CRC wins, a tie going to parity 0, and its
+   parity is reported so a restart's flushes keep avoiding the winner.
+   Both slots' headers are read first; the newer slot is deserialized,
+   and the other only if the newer one is torn. [buf] holds one slot. *)
+let page_buffer ~data_device ~pool_config =
+  let sector_size = (Storage.Block.info data_device).Storage.Block.sector_size in
+  Bytes.create (pool_config.Buffer_pool.page_bytes / sector_size * sector_size)
+
+let load_page_slots ~buf ~data_device ~pool_config id =
+  assert (Buffer_pool.slot_count = 2);
   let sector_size = (Storage.Block.info data_device).Storage.Block.sector_size in
   let sectors_per_page = pool_config.Buffer_pool.page_bytes / sector_size in
+  assert (Bytes.length buf = sectors_per_page * sector_size);
   let extent = Storage.Block.durable_extent data_device in
   let lba = Buffer_pool.lba_of_page pool_config ~sector_size id in
   if lba >= extent then None
   else begin
-    let best = ref None in
-    for parity = 0 to Buffer_pool.slot_count - 1 do
-      let image =
-        Storage.Block.durable_read data_device
-          ~lba:(lba + (parity * sectors_per_page))
-          ~sectors:sectors_per_page
-      in
+    let image = Bytes.unsafe_to_string buf in
+    let header parity =
+      Storage.Block.durable_read_into data_device
+        ~lba:(lba + (parity * sectors_per_page))
+        ~sectors:1 buf ~off:0;
+      Page.image_lsn image ~id
+    in
+    let load parity =
+      Storage.Block.durable_read_into data_device
+        ~lba:(lba + (parity * sectors_per_page))
+        ~sectors:sectors_per_page buf ~off:0;
       match Page.deserialize image with
-      | Some page when page.Page.id = id -> (
-          match !best with
-          | Some (_, chosen) when Lsn.(page.Page.page_lsn <= chosen.Page.page_lsn)
-            ->
-              ()
-          | Some _ | None -> best := Some (parity, page))
-      | Some _ | None -> ()  (* unwritten slot, or torn by the crash *)
-    done;
-    !best
+      | Some page when page.Page.id = id -> Some (parity, page)
+      | Some _ | None -> None  (* torn by the crash *)
+    in
+    let lsn0 = header 0 in
+    let lsn1 = header 1 in
+    let newer, older, older_lsn =
+      if lsn1 > lsn0 then (1, 0, lsn0) else (0, 1, lsn1)
+    in
+    if max lsn0 lsn1 < 0 then None  (* both unwritten or torn *)
+    else
+      match load newer with
+      | Some _ as chosen -> chosen
+      | None -> if older_lsn < 0 then None else load older
   end
 
-let load_pages ~data_device ~pool_config records =
+let load_page ~data_device ~pool_config id =
+  load_page_slots ~buf:(page_buffer ~data_device ~pool_config) ~data_device
+    ~pool_config id
+
+(* The candidate pages load in the order a generic table of them,
+   filled in first-appearance order, iterates; that order fixes the
+   [pages] and [parities] insertion order and so the store's
+   iteration order. *)
+let load_pages ~data_device ~pool_config candidates =
+  let order = Hashtbl.create 1024 in
+  List.iter (fun id -> Hashtbl.replace order id ()) (List.rev candidates);
+  let buf = page_buffer ~data_device ~pool_config in
   let pages = Hashtbl.create 256 in
+  let index = Int_tbl.create 1024 in
   let parities = Hashtbl.create 256 in
   Hashtbl.iter
     (fun id () ->
-      match load_page_slots ~data_device ~pool_config id with
+      match load_page_slots ~buf ~data_device ~pool_config id with
       | Some (parity, page) ->
           Hashtbl.replace pages id page;
+          Int_tbl.replace index id page;
           Hashtbl.replace parities id parity
       | None -> ())
-    (candidate_page_ids ~pool_config records);
-  (pages, parities)
+    order;
+  (pages, index, parities)
 
-(* The redo and undo passes plus the final store projection, shared
-   between {!run} and the incremental engine's from-scratch fallback so
-   the two are identical by construction. Mutates [pages] in place. *)
-let redo_undo_store ~pool_config ~records ~losers ~redo_start ~pages =
-  let loser_set = Hashtbl.create 16 in
-  List.iter (fun txid -> Hashtbl.replace loser_set txid ()) losers;
+(* The redo and undo passes plus the final store projection, for both
+   the single stream and the multi-stream layout. Mutates [pages] (and
+   its lookup [index]) in place.
+
+   Redo repeats history stream by stream, in log order, guarded by page
+   LSNs, from [redo_start]; on the way it collects each stream's loser
+   updates newest first, which undo then rolls back, stream by stream,
+   with the logged before-images (an empty before-image encodes "key
+   did not exist"). With [supersede] (multi-stream), a loser update
+   older than a valid winner's update of the same key is skipped; see
+   {!run_multi}. *)
+let redo_undo_store ~pool_config ~(analysis : analysis) ~redo_start ~supersede
+    ~pages ~index streams =
+  let losers = Int_tbl.create 16 in
+  List.iter (fun txid -> Int_tbl.replace losers txid ()) analysis.losers;
+  let any_losers = analysis.losers <> [] in
+  let winners = Int_tbl.create 64 in
+  if supersede then
+    List.iter (fun txid -> Int_tbl.replace winners txid ()) analysis.committed;
+  let winner_latest = Int_tbl.create 256 in
   let keys_per_page = pool_config.Buffer_pool.keys_per_page in
   let page_of_key key =
     let id = Page.page_of_key ~keys_per_page key in
-    match Hashtbl.find_opt pages id with
-    | Some page -> page
-    | None ->
+    match Int_tbl.find index id with
+    | page -> page
+    | exception Not_found ->
         let page = Page.create ~id in
         Hashtbl.replace pages id page;
+        Int_tbl.replace index id page;
         page
   in
-  (* Redo: repeating history from the redo point, guarded by page LSNs. *)
   let redo_applied = ref 0 in
-  List.iter
-    (fun (record, lsn) ->
-      match record with
-      | Log_record.Update { key; after; _ } when Lsn.(redo_start < lsn) ->
-          let page = page_of_key key in
-          if Lsn.(page.Page.page_lsn < lsn) then begin
-            (* An empty after-image (from a compensating update whose key
-               did not exist before the transaction) encodes a delete. *)
-            if String.length after = 0 then begin
-              Hashtbl.remove page.Page.values key;
-              page.Page.page_lsn <- lsn
+  let redo_stream records =
+    let undo = ref [] in
+    List.iter
+      (fun ((record, lsn) as entry) ->
+        match record with
+        | Log_record.Update { txid; key; after; _ } ->
+            if Lsn.(redo_start < lsn) then begin
+              let page = page_of_key key in
+              if Lsn.(page.Page.page_lsn < lsn) then begin
+                (* An empty after-image (from a compensating update whose
+                   key did not exist before the transaction) encodes a
+                   delete. *)
+                if String.length after = 0 then begin
+                  Hashtbl.remove page.Page.values key;
+                  page.Page.page_lsn <- lsn
+                end
+                else Page.set page ~key ~value:after ~lsn;
+                incr redo_applied
+              end
+            end;
+            if any_losers && Int_tbl.mem losers txid then undo := entry :: !undo
+            else if supersede && Int_tbl.mem winners txid then begin
+              match Int_tbl.find winner_latest key with
+              | prev -> Int_tbl.replace winner_latest key (Lsn.max prev lsn)
+              | exception Not_found -> Int_tbl.add winner_latest key lsn
             end
-            else Page.set page ~key ~value:after ~lsn;
-            incr redo_applied
-          end
-      | Log_record.Update _ | Log_record.Begin _ | Log_record.Commit _
-      | Log_record.Abort _ | Log_record.Commit_multi _ | Log_record.Abort_multi _
-      | Log_record.Checkpoint _ | Log_record.Noop _ ->
-          ())
-    records;
-  (* Undo the losers, newest first. An empty before-image encodes "key did
-     not exist". *)
+        | Log_record.Begin _ | Log_record.Commit _ | Log_record.Abort _
+        | Log_record.Commit_multi _ | Log_record.Abort_multi _
+        | Log_record.Checkpoint _ | Log_record.Noop _ ->
+            ())
+      records;
+    !undo
+  in
+  let undo_lists = List.map redo_stream streams in
+  let superseded key lsn =
+    supersede
+    &&
+    match Int_tbl.find winner_latest key with
+    | w -> Lsn.(lsn < w)
+    | exception Not_found -> false
+  in
   let undo_applied = ref 0 in
   List.iter
-    (fun (record, _lsn) ->
-      match record with
-      | Log_record.Update { txid; key; before; _ }
-        when Hashtbl.mem loser_set txid ->
-          let page = page_of_key key in
-          if String.length before = 0 then Hashtbl.remove page.Page.values key
-          else Hashtbl.replace page.Page.values key before;
-          incr undo_applied
-      | Log_record.Update _ | Log_record.Begin _ | Log_record.Commit _
-      | Log_record.Abort _ | Log_record.Commit_multi _ | Log_record.Abort_multi _
-      | Log_record.Checkpoint _ | Log_record.Noop _ ->
-          ())
-    (List.rev records);
+    (List.iter (fun (record, lsn) ->
+         match record with
+         | Log_record.Update { key; before; _ } when not (superseded key lsn) ->
+             let page = page_of_key key in
+             if String.length before = 0 then Hashtbl.remove page.Page.values key
+             else Hashtbl.replace page.Page.values key before;
+             incr undo_applied
+         | _ -> ()))
+    undo_lists;
   let store = Hashtbl.create 1024 in
   Hashtbl.iter
     (fun _id page ->
@@ -302,10 +413,41 @@ let note_metrics result =
    stream, the recorded dependency is inside that stream's durable
    decoded prefix. Because commit vectors fold in the WAL's cross-stream
    watermark, the valid commits are closed under the commit order — an
-   invalid commit can never be depended on by a valid one. *)
+   invalid commit can never be depended on by a valid one.
 
-let analyse_multi per_stream ~durable_ends =
-  let streams = Array.length durable_ends in
+   Redo repeats history per stream, in stream order, from the log start
+   (multi-stream configurations run without checkpoints). Pages are
+   partitioned across streams — every update to a page lives on one
+   stream — so the page-LSN guard compares LSNs of one sequence, exactly
+   as in the single-stream pass.
+
+   Undo rolls the losers back per stream, newest first. One wrinkle the
+   single log never shows: a key a loser updated may carry a later
+   update by a *valid committed* winner. Under strict 2PL the winner can
+   only have locked the key after the loser's in-memory rollback
+   completed — but the loser's abort record may have missed the durable
+   prefix of its home stream even though the winner's commit made its
+   own (the streams' prefixes are independent). Restoring the loser's
+   before-image would clobber the winner, so a loser's update is skipped
+   when a valid winner touched the key {e later} (per-key LSNs are
+   comparable — a page's updates all live on one stream): the loser's
+   durable update/compensation pair nets to the value the winner started
+   from, which redo already superseded. A loser update {e after} the
+   last winner update is the newest durable state of the key and must
+   still be rolled back — strict 2PL puts every record of an earlier
+   loser before the winner's, so the guard never slices the middle of
+   one loser's update/compensation sequence. *)
+
+let run_multi ~log_device ~data_device ~wal_config ~pool_config =
+  let streams = wal_config.Wal.streams in
+  let scans =
+    Array.init streams (fun s ->
+        let start = Wal.stream_start_lba wal_config s in
+        scan_region ~log_device ~start
+          ~limit_lba:(start + wal_config.Wal.stream_stride_sectors))
+  in
+  let per_stream = Array.to_list (Array.map fst scans) in
+  let durable_ends = Array.map (fun (_, w) -> w.stop) scans in
   let valid deps =
     Array.length deps = streams
     && begin
@@ -314,196 +456,72 @@ let analyse_multi per_stream ~durable_ends =
          !ok
        end
   in
-  let outcomes = Hashtbl.create 256 in
-  let seen = Hashtbl.create 256 in
-  let note_seen txid = Hashtbl.replace seen txid () in
-  Array.iter
-    (List.iter (fun (record, _lsn) ->
-         match record with
-         | Log_record.Begin { txid } -> note_seen txid
-         | Log_record.Update { txid; _ } -> note_seen txid
-         | Log_record.Commit { txid } ->
-             note_seen txid;
-             Hashtbl.replace outcomes txid Won
-         | Log_record.Abort { txid } ->
-             note_seen txid;
-             Hashtbl.replace outcomes txid Lost
-         | Log_record.Commit_multi { txid; deps } ->
-             note_seen txid;
-             if valid deps then Hashtbl.replace outcomes txid Won
-         | Log_record.Abort_multi { txid; deps } ->
-             note_seen txid;
-             if valid deps then Hashtbl.replace outcomes txid Lost
-         | Log_record.Checkpoint _ | Log_record.Noop _ -> ()))
-    per_stream;
-  let committed = ref [] and aborted_list = ref [] and losers = ref [] in
-  Hashtbl.iter
-    (fun txid () ->
-      match Hashtbl.find_opt outcomes txid with
-      | Some Won -> committed := txid :: !committed
-      | Some Lost -> aborted_list := txid :: !aborted_list
-      | None -> losers := txid :: !losers)
-    seen;
-  ( List.sort Int.compare !committed,
-    List.sort Int.compare !aborted_list,
-    List.sort Int.compare !losers )
-
-let run_multi ~log_device ~data_device ~wal_config ~pool_config =
-  let streams = wal_config.Wal.streams in
-  let per_stream =
-    Array.init streams (fun s ->
-        let start = Wal.stream_start_lba wal_config s in
-        scan_records_region ~log_device ~start
-          ~limit_lba:(start + wal_config.Wal.stream_stride_sectors))
-  in
-  let durable_ends =
-    Array.map
-      (fun records ->
-        match List.rev records with [] -> 0 | (_, lsn) :: _ -> Lsn.to_int lsn)
-      per_stream
-  in
-  let committed, aborted, losers = analyse_multi per_stream ~durable_ends in
-  let all_records = List.concat (Array.to_list per_stream) in
-  let pages, parities = load_pages ~data_device ~pool_config all_records in
   let keys_per_page = pool_config.Buffer_pool.keys_per_page in
-  let page_of_key key =
-    let id = Page.page_of_key ~keys_per_page key in
-    match Hashtbl.find_opt pages id with
-    | Some page -> page
-    | None ->
-        let page = Page.create ~id in
-        Hashtbl.replace pages id page;
-        page
+  let analysis = analyse ~valid ~keys_per_page per_stream in
+  let pages, index, parities =
+    load_pages ~data_device ~pool_config analysis.candidates
   in
-  (* Redo: repeating history per stream, in stream order, from the log
-     start (multi-stream configurations run without checkpoints). Pages
-     are partitioned across streams — every update to a page lives on
-     one stream — so the page-LSN guard compares LSNs of one sequence,
-     exactly as in the single-stream pass. *)
-  let redo_applied = ref 0 in
-  Array.iter
-    (List.iter (fun (record, lsn) ->
-         match record with
-         | Log_record.Update { key; after; _ } ->
-             let page = page_of_key key in
-             if Lsn.(page.Page.page_lsn < lsn) then begin
-               (if String.length after = 0 then begin
-                  Hashtbl.remove page.Page.values key;
-                  page.Page.page_lsn <- lsn
-                end
-                else Page.set page ~key ~value:after ~lsn);
-               incr redo_applied
-             end
-         | _ -> ()))
-    per_stream;
-  (* Undo: roll the losers back per stream, newest first. One wrinkle
-     the single log never shows: a key a loser updated may carry a later
-     update by a *valid committed* winner. Under strict 2PL the winner
-     can only have locked the key after the loser's in-memory rollback
-     completed — but the loser's abort record may have missed the
-     durable prefix of its home stream even though the winner's commit
-     made its own (the streams' prefixes are independent). Restoring the
-     loser's before-image would clobber the winner, so a loser's update
-     is skipped when a valid winner touched the key {e later} (per-key
-     LSNs are comparable — a page's updates all live on one stream):
-     the loser's durable update/compensation pair nets to the value the
-     winner started from, which redo already superseded. A loser update
-     {e after} the last winner update is the newest durable state of the
-     key and must still be rolled back — strict 2PL puts every record of
-     an earlier loser before the winner's, so the guard never slices the
-     middle of one loser's update/compensation sequence. *)
-  let loser_set = Hashtbl.create 16 in
-  List.iter (fun txid -> Hashtbl.replace loser_set txid ()) losers;
-  let winner_set = Hashtbl.create 64 in
-  List.iter (fun txid -> Hashtbl.replace winner_set txid ()) committed;
-  let winner_latest = Hashtbl.create 256 in
-  Array.iter
-    (List.iter (fun (record, lsn) ->
-         match record with
-         | Log_record.Update { txid; key; _ } when Hashtbl.mem winner_set txid ->
-             let prev =
-               match Hashtbl.find_opt winner_latest key with
-               | Some prev -> prev
-               | None -> Lsn.zero
-             in
-             Hashtbl.replace winner_latest key (Lsn.max prev lsn)
-         | _ -> ()))
-    per_stream;
-  let superseded key lsn =
-    match Hashtbl.find_opt winner_latest key with
-    | Some w -> Lsn.(lsn < w)
-    | None -> false
+  let redo_applied, undo_applied, store =
+    redo_undo_store ~pool_config ~analysis ~redo_start:Lsn.zero ~supersede:true
+      ~pages ~index per_stream
   in
-  let undo_applied = ref 0 in
-  Array.iter
-    (fun records ->
-      List.iter
-        (fun (record, lsn) ->
-          match record with
-          | Log_record.Update { txid; key; before; _ }
-            when Hashtbl.mem loser_set txid && not (superseded key lsn) ->
-              let page = page_of_key key in
-              if String.length before = 0 then Hashtbl.remove page.Page.values key
-              else Hashtbl.replace page.Page.values key before;
-              incr undo_applied
-          | _ -> ())
-        (List.rev records))
-    per_stream;
-  let store = Hashtbl.create 1024 in
-  Hashtbl.iter
-    (fun _id page ->
-      Hashtbl.iter (fun key value -> Hashtbl.replace store key value) page.Page.values)
-    pages;
   note_metrics
     {
       store;
-      records = all_records;
+      records = List.concat per_stream;
       parities;
-      committed;
-      aborted;
-      losers;
-      durable_records = List.length all_records;
+      committed = analysis.committed;
+      aborted = analysis.aborted;
+      losers = analysis.losers;
+      durable_records = Array.fold_left (fun n (_, w) -> n + w.count) 0 scans;
       durable_end = Lsn.of_int (Array.fold_left ( + ) 0 durable_ends);
       redo_start = Lsn.zero;
-      redo_applied = !redo_applied;
-      undo_applied = !undo_applied;
+      redo_applied;
+      undo_applied;
       pages_loaded = Hashtbl.length pages;
     }
 
 let run_single ~log_device ~data_device ~wal_config ~pool_config =
-  let records = scan_records ~log_device ~wal_config in
-  let committed, aborted, losers = analyse records in
+  let records, scan =
+    scan_region ~log_device ~start:wal_config.Wal.log_start_lba ~limit_lba:max_int
+  in
+  let analysis =
+    analyse
+      ~valid:(fun _ -> true)
+      ~keys_per_page:pool_config.Buffer_pool.keys_per_page [ records ]
+  in
   let redo_start =
     match Wal.read_master wal_config ~device:log_device with
     | Some lsn -> lsn
     | None -> Lsn.zero
   in
-  let pages, parities = load_pages ~data_device ~pool_config records in
+  let pages, index, parities =
+    load_pages ~data_device ~pool_config analysis.candidates
+  in
   let redo_applied, undo_applied, store =
-    redo_undo_store ~pool_config ~records ~losers ~redo_start ~pages
+    redo_undo_store ~pool_config ~analysis ~redo_start ~supersede:false ~pages
+      ~index [ records ]
   in
   note_metrics
-  {
-    store;
-    records;
-    parities;
-    committed;
-    aborted;
-    losers;
-    durable_records = List.length records;
-    durable_end =
-      (match List.rev records with [] -> Lsn.zero | (_, lsn) :: _ -> lsn);
-    redo_start;
-    redo_applied;
-    undo_applied;
-    pages_loaded = Hashtbl.length pages;
-  }
+    {
+      store;
+      records;
+      parities;
+      committed = analysis.committed;
+      aborted = analysis.aborted;
+      losers = analysis.losers;
+      durable_records = scan.count;
+      durable_end = Lsn.of_int scan.stop;
+      redo_start;
+      redo_applied;
+      undo_applied;
+      pages_loaded = Hashtbl.length pages;
+    }
 
 let run ~log_device ~data_device ~wal_config ~pool_config =
   if wal_config.Wal.streams > 1 then
     run_multi ~log_device ~data_device ~wal_config ~pool_config
   else run_single ~log_device ~data_device ~wal_config ~pool_config
-
 
 (* {2 Incremental recovery}
 
@@ -707,6 +725,7 @@ module Incremental = struct
     sh : shared;
     data_base : Storage.Block.t;
     data_ss : int;
+    page_buf : Bytes.t;  (* one page slot, for every page load *)
     (* Watermarks: base log bytes [0, base_ok) are durable and equal to
        the future stream; future bytes [0, push_ok) were confirmed by
        folded-in pushes. *)
@@ -730,6 +749,7 @@ module Incremental = struct
       sh;
       data_base;
       data_ss = (Storage.Block.info data_base).Storage.Block.sector_size;
+      page_buf = page_buffer ~data_device:data_base ~pool_config:sh.s_pool;
       base_ok = 0;
       push_ok = 0;
       redo_valid = false;
@@ -868,7 +888,8 @@ module Incremental = struct
   let ensure_base_loaded t ~redo_start ~bound id =
     if not (Hashtbl.mem t.r_seen id) then begin
       Hashtbl.replace t.r_seen id ();
-      (match load_page_slots ~data_device:t.data_base ~pool_config:t.sh.s_pool id with
+      (match load_page_slots ~buf:t.page_buf ~data_device:t.data_base
+              ~pool_config:t.sh.s_pool id with
       | Some (parity, page) ->
           Hashtbl.replace t.r_pages id page;
           Hashtbl.replace t.r_parities id parity
@@ -1165,7 +1186,7 @@ module Incremental = struct
             || Hashtbl.mem odd_touched id
           in
           if candidate then begin
-            (match load_page_slots ~data_device ~pool_config:sh.s_pool id with
+            (match load_page_slots ~buf:t.page_buf ~data_device ~pool_config:sh.s_pool id with
             | Some (parity, page) ->
                 Hashtbl.replace pages id page;
                 Hashtbl.replace parities id parity
@@ -1181,7 +1202,7 @@ module Incremental = struct
     let ensure_point_loaded id =
       if not (Hashtbl.mem t.r_seen id || Hashtbl.mem point_seen id) then begin
         Hashtbl.replace point_seen id ();
-        match load_page_slots ~data_device ~pool_config:sh.s_pool id with
+        match load_page_slots ~buf:t.page_buf ~data_device ~pool_config:sh.s_pool id with
         | Some (parity, page) ->
             Hashtbl.replace pages id page;
             Hashtbl.replace parities id parity

@@ -80,11 +80,22 @@ val scan_records :
 (** Chunked scan of the durable log: decodes records incrementally and
     stops at the first invalid one, reading only slightly past the valid
     log even when the device's written extent is much larger (the
-    single-disk layout). Apart from the decoded records it holds one
-    chunk plus at most one partial record, and it allocates in
-    proportion to the log it reads. Its result equals
+    single-disk layout). It reads every chunk into one reused window
+    (one chunk plus at most one partial record) and allocates, beyond
+    that window, only the records it returns. Its result equals
     [Log_record.decode_stream (read_durable_log ...)], LSNs included.
     This is what {!run} uses. *)
+
+val load_page :
+  data_device:Storage.Block.t ->
+  pool_config:Buffer_pool.config ->
+  int ->
+  (int * Page.t) option
+(** The slot {!run} recovers page [id] from, as [(parity, page)]: the
+    newest slot whose image is intact, a tie going to parity 0; [None]
+    if neither slot holds an intact image of that page. It reads both
+    slots' headers and deserializes the newer slot, and the other only
+    when the newer one is torn. *)
 
 (** Incremental recovery over a monotonically growing base media image,
     for sweeps that run recovery at many nearby crash points. A

@@ -154,15 +154,21 @@ type verdict = {
    single integer comparison certifies the two produced bit-identical
    post-crash images. *)
 let media_digest ~log ~data =
+  let chunk = 256 in
+  let buf = ref Bytes.empty in
   let fold_device acc device =
     let extent = Storage.Block.durable_extent device in
-    let chunk = 256 in
+    let ss = (Storage.Block.info device).Storage.Block.sector_size in
+    if Bytes.length !buf < chunk * ss then buf := Bytes.create (chunk * ss);
     let rec go acc lba =
       if lba >= extent then acc
       else begin
         let sectors = min chunk (extent - lba) in
-        let data = Storage.Block.durable_read device ~lba ~sectors in
-        let crc = Int32.to_int (Dbms.Crc32.digest_string data) land 0xFFFFFFFF in
+        Storage.Block.durable_read_into device ~lba ~sectors !buf ~off:0;
+        let crc =
+          Int32.to_int (Dbms.Crc32.digest_bytes !buf ~pos:0 ~len:(sectors * ss))
+          land 0xFFFFFFFF
+        in
         go (((acc * 16777619) + crc) land max_int) (lba + sectors)
       end
     in

@@ -5,7 +5,7 @@ type backend = {
   be_read : lba:int -> sectors:int -> string;
   be_write : lba:int -> data:string -> fua:bool -> unit;
   be_flush : unit -> unit;
-  be_durable_read : lba:int -> sectors:int -> string;
+  be_durable_read_into : lba:int -> sectors:int -> Bytes.t -> off:int -> unit;
   be_durable_extent : unit -> int;
 }
 
@@ -15,8 +15,7 @@ let backend_of_block device =
     be_read = (fun ~lba ~sectors -> Storage.Block.read device ~lba ~sectors);
     be_write = (fun ~lba ~data ~fua -> Storage.Block.write device ~fua ~lba data);
     be_flush = (fun () -> Storage.Block.flush device);
-    be_durable_read =
-      (fun ~lba ~sectors -> Storage.Block.durable_read device ~lba ~sectors);
+    be_durable_read_into = Storage.Block.durable_read_into device;
     be_durable_extent = (fun () -> Storage.Block.durable_extent device);
   }
 
@@ -115,7 +114,7 @@ let create sim ~ipc ~backend_domain ?(queue_depth = 8) backend =
       op_power_cut = (fun () -> ());
       (* The frontend is software; electrical failure reaches the physical
          device through its own registration with the power domain. *)
-      op_durable_read = backend.be_durable_read;
+      op_durable_read_into = backend.be_durable_read_into;
       op_durable_extent = backend.be_durable_extent;
     }
   in

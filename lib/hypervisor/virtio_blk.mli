@@ -17,7 +17,7 @@ type backend = {
   be_read : lba:int -> sectors:int -> string;
   be_write : lba:int -> data:string -> fua:bool -> unit;
   be_flush : unit -> unit;
-  be_durable_read : lba:int -> sectors:int -> string;
+  be_durable_read_into : lba:int -> sectors:int -> Bytes.t -> off:int -> unit;
   be_durable_extent : unit -> int;
 }
 

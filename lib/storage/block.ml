@@ -5,7 +5,7 @@ type ops = {
   op_write : lba:int -> data:string -> fua:bool -> unit;
   op_flush : unit -> unit;
   op_power_cut : unit -> unit;
-  op_durable_read : lba:int -> sectors:int -> string;
+  op_durable_read_into : lba:int -> sectors:int -> Bytes.t -> off:int -> unit;
   op_durable_extent : unit -> int;
 }
 
@@ -35,9 +35,16 @@ let write t ?(fua = false) ~lba data =
 let flush t = t.ops.op_flush ()
 let power_cut t = t.ops.op_power_cut ()
 
-let durable_read t ~lba ~sectors =
+let durable_read_into t ~lba ~sectors buf ~off =
   check_range t ~lba ~sectors;
-  t.ops.op_durable_read ~lba ~sectors
+  if off < 0 || off + (sectors * t.info.sector_size) > Bytes.length buf then
+    invalid_arg "Block.durable_read_into";
+  t.ops.op_durable_read_into ~lba ~sectors buf ~off
+
+let durable_read t ~lba ~sectors =
+  let buf = Bytes.create (sectors * t.info.sector_size) in
+  durable_read_into t ~lba ~sectors buf ~off:0;
+  Bytes.unsafe_to_string buf
 
 let durable_extent t = t.ops.op_durable_extent ()
 
@@ -92,9 +99,10 @@ module Media = struct
     | None -> (
         match t.base with Some base -> find_page base pidx | None -> None)
 
-  let read t ~lba ~sectors =
+  (* Every byte of the target range is written: a buffer the caller
+     reuses holds stale bytes, so holes are zeroed here. *)
+  let read_into t ~lba ~sectors buf ~off:dst =
     let ss = t.sector_size in
-    let buf = Bytes.make (sectors * ss) '\000' in
     let i = ref 0 in
     while !i < sectors do
       let s = lba + !i in
@@ -102,10 +110,14 @@ module Media = struct
       let off = s mod page_sectors in
       let n = min (page_sectors - off) (sectors - !i) in
       (match find_page t pidx with
-      | Some p -> Bytes.blit p (off * ss) buf (!i * ss) (n * ss)
-      | None -> ());
+      | Some p -> Bytes.blit p (off * ss) buf (dst + (!i * ss)) (n * ss)
+      | None -> Bytes.fill buf (dst + (!i * ss)) (n * ss) '\000');
       i := !i + n
-    done;
+    done
+
+  let read t ~lba ~sectors =
+    let buf = Bytes.create (sectors * t.sector_size) in
+    read_into t ~lba ~sectors buf ~off:0;
     Bytes.unsafe_to_string buf
 
   (* The page [pidx] as in-place-writable bytes: an own page directly;
@@ -160,7 +172,7 @@ end
 
 (* A frozen device over a media image: only the durable (untimed) side
    exists. The crash-surface reconstruction hands these to {!Dbms}
-   recovery, which by design touches nothing but [durable_read] and
+   recovery, which by design touches nothing but the durable read and
    [durable_extent] of a post-crash device. *)
 let of_media ?(model = "frozen") media =
   let frozen op = fun _ -> failwith ("Block.of_media: " ^ op ^ " on frozen device") in
@@ -178,7 +190,7 @@ let of_media ?(model = "frozen") media =
         op_write = (fun ~lba:_ ~data:_ ~fua:_ -> frozen "write" ());
         op_flush = (fun () -> frozen "flush" ());
         op_power_cut = (fun () -> ());
-        op_durable_read = (fun ~lba ~sectors -> Media.read media ~lba ~sectors);
+        op_durable_read_into = Media.read_into media;
         op_durable_extent = (fun () -> Media.extent media);
       }
     ()

@@ -19,7 +19,11 @@ type ops = {
   op_write : lba:int -> data:string -> fua:bool -> unit;
   op_flush : unit -> unit;
   op_power_cut : unit -> unit;
-  op_durable_read : lba:int -> sectors:int -> string;
+  op_durable_read_into : lba:int -> sectors:int -> Bytes.t -> off:int -> unit;
+      (** Fill [sectors * sector_size] bytes of the buffer from [off] with
+          the non-volatile media, zeros for sectors never written, and
+          touch no other byte. The range and buffer are checked by
+          {!durable_read_into} before the op runs. *)
   op_durable_extent : unit -> int;
 }
 
@@ -54,8 +58,16 @@ val power_cut : t -> unit
 (** Electrical power is gone this instant: volatile state is dropped and
     any in-flight write may be torn. Callable from any context. *)
 
+val durable_read_into : t -> lba:int -> sectors:int -> Bytes.t -> off:int -> unit
+(** Untimed read of the non-volatile media into a caller-owned buffer,
+    callable from any context: bytes [off, off + sectors * sector_size)
+    of the buffer receive the sectors, and no other byte changes. Raises
+    [Invalid_argument] if that range does not fit the buffer. Recovery
+    and the crash-surface digest reuse one buffer across reads with
+    this. *)
+
 val durable_read : t -> lba:int -> sectors:int -> string
-(** Untimed read of the non-volatile media, callable from any context. *)
+(** {!durable_read_into} a fresh buffer, returned as a string. *)
 
 val durable_extent : t -> int
 (** One past the highest sector ever written to media; bounds how far a
@@ -80,8 +92,12 @@ module Media : sig
   val sector_size : t -> int
   val capacity_sectors : t -> int
 
+  val read_into : t -> lba:int -> sectors:int -> Bytes.t -> off:int -> unit
+  (** Copy the sectors into the buffer at [off]; unwritten sectors are
+      written as zero bytes, so a reused buffer needs no clearing. *)
+
   val read : t -> lba:int -> sectors:int -> string
-  (** Unwritten sectors read as zero bytes. *)
+  (** {!read_into} a fresh buffer. *)
 
   val write : t -> lba:int -> data:string -> unit
 

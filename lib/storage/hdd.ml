@@ -208,8 +208,7 @@ let create sim ?(model = "hdd-7200") config =
           Process.sleep config.command_overhead;
           Disk_stats.record_flush stats ~service:config.command_overhead);
       op_power_cut = (fun () -> power_cut state);
-      op_durable_read =
-        (fun ~lba ~sectors -> Block.Media.read media ~lba ~sectors);
+      op_durable_read_into = Block.Media.read_into media;
       op_durable_extent = (fun () -> Block.Media.extent media);
     }
   in

@@ -231,8 +231,7 @@ let create sim ?(model = "nvme-zns") config =
           Process.sleep config.submit_overhead;
           Disk_stats.record_flush stats ~service:config.submit_overhead);
       op_power_cut = (fun () -> power_cut state);
-      op_durable_read =
-        (fun ~lba ~sectors -> Block.Media.read media ~lba ~sectors);
+      op_durable_read_into = Block.Media.read_into media;
       op_durable_extent = (fun () -> Block.Media.extent media);
     }
   in

@@ -99,18 +99,14 @@ let stripe_flush t =
           t.members))
     (fun seg -> Block.flush t.members.(seg.member))
 
-let durable_read t ~lba ~sectors =
-  let buf = Bytes.make (sectors * t.sector_size) '\000' in
+(* Each member fills its own segment of the caller's buffer. *)
+let durable_read_into t ~lba ~sectors buf ~off =
   List.iter
     (fun seg ->
-      let data =
-        Block.durable_read t.members.(seg.member) ~lba:seg.member_lba
-          ~sectors:seg.sectors
-      in
-      Bytes.blit_string data 0 buf ((seg.global_off - lba) * t.sector_size)
-        (String.length data))
-    (segments t ~lba ~sectors);
-  Bytes.unsafe_to_string buf
+      Block.durable_read_into t.members.(seg.member) ~lba:seg.member_lba
+        ~sectors:seg.sectors buf
+        ~off:(off + ((seg.global_off - lba) * t.sector_size)))
+    (segments t ~lba ~sectors)
 
 let durable_extent t =
   (* Conservative upper bound: if some member holds data through local
@@ -172,7 +168,7 @@ let create sim ?(model = "stripe") ~chunk_sectors members =
           stripe_flush t;
           Disk_stats.record_flush stats ~service:(Time.diff (Sim.now sim) started));
       op_power_cut = (fun () -> Array.iter Block.power_cut t.members);
-      op_durable_read = (fun ~lba ~sectors -> durable_read t ~lba ~sectors);
+      op_durable_read_into = durable_read_into t;
       op_durable_extent = (fun () -> durable_extent t);
     }
   in

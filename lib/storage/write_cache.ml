@@ -173,7 +173,7 @@ let wrap sim config device =
           cache_flush state;
           Disk_stats.record_flush stats ~service:(Time.diff (Sim.now sim) started));
       op_power_cut = (fun () -> power_cut state);
-      op_durable_read = (fun ~lba ~sectors -> Block.durable_read device ~lba ~sectors);
+      op_durable_read_into = Block.durable_read_into device;
       op_durable_extent = (fun () -> Block.durable_extent device);
     }
   in

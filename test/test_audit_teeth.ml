@@ -28,8 +28,7 @@ let lossy_device sim ~period =
           else Storage.Block.write real ~fua ~lba data);
       op_flush = (fun () -> Storage.Block.flush real);
       op_power_cut = (fun () -> Storage.Block.power_cut real);
-      op_durable_read =
-        (fun ~lba ~sectors -> Storage.Block.durable_read real ~lba ~sectors);
+      op_durable_read_into = Storage.Block.durable_read_into real;
       op_durable_extent = (fun () -> Storage.Block.durable_extent real);
     }
   in

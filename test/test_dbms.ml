@@ -1034,6 +1034,12 @@ let scan_two_streams_multi_chunk () =
         Alcotest.failf "key %d: wrong recovered value" key)
     latest
 
+(* What the scan may allocate per byte of log it reads. The records it
+   returns hold about one byte per log byte (the synthetic log is mostly
+   after-images); a scan that also copies each chunk into a fresh window
+   allocates more than two. *)
+let scan_bytes_per_log_byte = 1.5
+
 (* The scan must allocate in proportion to the log it reads. A scan that
    re-copies everything read so far at every chunk allocates per log byte
    in proportion to the number of chunks, so quadrupling the log would
@@ -1061,7 +1067,10 @@ let scan_allocation_linear () =
   if large > 1.25 *. small then
     Alcotest.failf
       "scan allocates %.2f B per log byte at 16 chunks vs %.2f at 4 (> 1.25x)"
-      large small
+      large small;
+  if small > scan_bytes_per_log_byte then
+    Alcotest.failf "scan allocates %.2f B per log byte at 4 chunks (bound %.2f)"
+      small scan_bytes_per_log_byte
 
 let scan_suite =
   ( "dbms.log_scan",
@@ -1861,3 +1870,306 @@ let pool_cost_suite =
   ("dbms.buffer_pool_cost", [ case "eviction allocation flat in pool capacity" eviction_allocation_flat ])
 
 let suites = suites @ [ pool_cost_suite ]
+
+(* -- Recovery reads in place: page slots, allocation, same results --------- *)
+
+let write_slot media ~id ~parity image =
+  let config = Buffer_pool.default_config in
+  let ss = Storage.Block.Media.sector_size media in
+  let spp = config.Buffer_pool.page_bytes / ss in
+  Storage.Block.Media.write media
+    ~lba:(Buffer_pool.lba_of_page config ~sector_size:ss id + (parity * spp))
+    ~data:image
+
+let page_image ~id ~lsn values =
+  let page = Page.create ~id in
+  List.iter (fun (key, value) -> Page.set page ~key ~value ~lsn:(Lsn.of_int lsn)) values;
+  Page.serialize page ~page_bytes:Buffer_pool.default_config.Buffer_pool.page_bytes
+
+(* The reference slot rule, read off whole images:
+   deserialize both slots, the newest intact image of the page wins, a
+   tie going to parity 0. *)
+let reference_slot_choice ~data_device id =
+  let config = Buffer_pool.default_config in
+  let ss = (Storage.Block.info data_device).Storage.Block.sector_size in
+  let spp = config.Buffer_pool.page_bytes / ss in
+  let lba = Buffer_pool.lba_of_page config ~sector_size:ss id in
+  if lba >= Storage.Block.durable_extent data_device then None
+  else begin
+    let best = ref None in
+    for parity = 0 to 1 do
+      match
+        Page.deserialize
+          (Storage.Block.durable_read data_device ~lba:(lba + (parity * spp)) ~sectors:spp)
+      with
+      | Some page when page.Page.id = id -> (
+          match !best with
+          | Some (_, chosen) when Lsn.(page.Page.page_lsn <= chosen.Page.page_lsn) -> ()
+          | Some _ | None -> best := Some (parity, page))
+      | Some _ | None -> ()
+    done;
+    !best
+  end
+
+type slot_kind =
+  | Intact of int  (** page_lsn *)
+  | Torn of int * int  (** page_lsn, first zeroed sector *)
+  | Crc_bad of int * int  (** page_lsn, flipped entry byte *)
+  | Foreign of int  (** an intact image of the next page *)
+  | Unwritten
+
+let slot_gen =
+  QCheck2.Gen.(
+    let lsn = map (fun k -> k * 100) (int_range 0 3) in
+    oneof
+      [
+        map (fun l -> Intact l) lsn;
+        map2 (fun l s -> Torn (l, s)) lsn (int_range 0 15);
+        map2 (fun l b -> Crc_bad (l, b)) lsn (int_range 0 3_000);
+        map (fun l -> Foreign l) lsn;
+        pure Unwritten;
+      ])
+
+let slot_print = function
+  | Intact l -> Printf.sprintf "Intact %d" l
+  | Torn (l, s) -> Printf.sprintf "Torn (%d, sector %d)" l s
+  | Crc_bad (l, b) -> Printf.sprintf "Crc_bad (%d, byte %d)" l b
+  | Foreign l -> Printf.sprintf "Foreign %d" l
+  | Unwritten -> "Unwritten"
+
+(* Entries of several hundred bytes, so a page image spans sectors and
+   a tear or a flipped byte lands in its entries. *)
+let slot_image ~id ~salt kind =
+  let values id lsn =
+    List.init 4 (fun i ->
+        ((id * 16) + i, String.make (300 + (((salt * 7) + (i * 131) + lsn) mod 500)) 'a'))
+  in
+  let image id lsn = page_image ~id ~lsn (values id lsn) in
+  match kind with
+  | Intact lsn -> Some (image id lsn)
+  | Torn (lsn, sector) ->
+      let b = Bytes.of_string (image id lsn) in
+      Bytes.fill b (sector * scan_sector) (Bytes.length b - (sector * scan_sector)) '\000';
+      Some (Bytes.to_string b)
+  | Crc_bad (lsn, byte) ->
+      let b = Bytes.of_string (image id lsn) in
+      let pos = 28 + byte in
+      Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 0x40));
+      Some (Bytes.to_string b)
+  | Foreign lsn -> Some (image (id + 1) lsn)
+  | Unwritten -> None
+
+let page_view (parity, page) =
+  ( parity,
+    page.Page.id,
+    Lsn.to_int page.Page.page_lsn,
+    List.sort compare (List.of_seq (Hashtbl.to_seq page.Page.values)) )
+
+let slot_choice_matches_reference_prop =
+  prop "header-first slot choice equals newest-intact rule" ~count:400
+    ~print:(fun (a, b, id, far, salt) ->
+      Printf.sprintf "slot0 %s, slot1 %s, page %d, far page %b, salt %d" (slot_print a)
+        (slot_print b) id far salt)
+    QCheck2.Gen.(
+      map
+        (fun ((a, b), (id, far, salt)) -> (a, b, id, far, salt))
+        (pair (pair slot_gen slot_gen) (triple (int_range 0 3) bool (int_range 0 99))))
+    (fun (a, b, id, far, salt) ->
+      let media =
+        Storage.Block.Media.create ~sector_size:scan_sector ~capacity_sectors:(1 lsl 10)
+      in
+      List.iteri
+        (fun parity kind ->
+          Option.iter (write_slot media ~id ~parity) (slot_image ~id ~salt kind))
+        [ a; b ];
+      (* A page further out puts the written extent past an unwritten
+         pair, so its slots read as zeros instead of being skipped. *)
+      if far then
+        write_slot media ~id:8 ~parity:0 (page_image ~id:8 ~lsn:1 [ (128, "x") ]);
+      let data_device = Storage.Block.of_media media in
+      let got =
+        Recovery.load_page ~data_device ~pool_config:Buffer_pool.default_config id
+      in
+      let want = reference_slot_choice ~data_device id in
+      if Option.map page_view got <> Option.map page_view want then
+        QCheck2.Test.fail_reportf "chose %s, the rule chooses %s"
+          (match got with Some (p, _) -> string_of_int p | None -> "none")
+          (match want with Some (p, _) -> string_of_int p | None -> "none");
+      true)
+
+(* What [Recovery.run] may allocate per page it loads: the page, its
+   value table and the table entries that index it. Copying either slot
+   out as a fresh 8 KiB image string exceeds it. *)
+let recovery_bytes_per_page = 2048.
+
+let recovery_allocation_per_page () =
+  let pages = 256 in
+  let config = Buffer_pool.default_config in
+  let kpp = config.Buffer_pool.keys_per_page in
+  let buf = Buffer.create 65_536 in
+  for id = 0 to pages - 1 do
+    let txid = id + 1 in
+    Log_record.encode_into (Log_record.Begin { txid }) buf;
+    Log_record.encode_into
+      (Log_record.Update { txid; key = id * kpp; before = ""; after = "new" })
+      buf;
+    Log_record.encode_into (Log_record.Commit { txid }) buf
+  done;
+  let log = Buffer.contents buf in
+  let log_device =
+    Storage.Block.of_media
+      (media_with ~sectors:(1 lsl 16) [ (Wal.default_config.Wal.log_start_lba, log) ])
+  in
+  let data =
+    Storage.Block.Media.create ~sector_size:scan_sector ~capacity_sectors:(1 lsl 14)
+  in
+  for id = 0 to pages - 1 do
+    let values = [ (id * kpp, "old"); ((id * kpp) + 1, "kept") ] in
+    write_slot data ~id ~parity:0 (page_image ~id ~lsn:1 values);
+    write_slot data ~id ~parity:1 (page_image ~id ~lsn:2 values)
+  done;
+  let data_device = Storage.Block.of_media data in
+  let run () =
+    Recovery.run ~log_device ~data_device ~wal_config:Wal.default_config
+      ~pool_config:config
+  in
+  ignore (run ());
+  Gc.full_major ();
+  let before = Gc.allocated_bytes () in
+  let r = run () in
+  let allocated = Gc.allocated_bytes () -. before in
+  Alcotest.(check int) "every page loaded" pages r.Recovery.pages_loaded;
+  Alcotest.(check int) "every update redone" pages r.Recovery.redo_applied;
+  let per_page = allocated /. float_of_int pages in
+  if per_page > recovery_bytes_per_page then
+    Alcotest.failf "recovery allocates %.0f B per loaded page (bound %.0f)" per_page
+      recovery_bytes_per_page
+
+(* A deterministic multi-chunk log with committed, aborted (compensated)
+   and loser transactions, a Noop now and then, and a torn final record;
+   losers write keys of their own, as strict 2PL leaves them. *)
+let loser_log ~bytes =
+  let rng = Rng.create 61L in
+  let buf = Buffer.create (bytes + 8192) in
+  let add record = Log_record.encode_into record buf in
+  let values = Hashtbl.create 1024 in
+  let txid = ref 0 in
+  while Buffer.length buf < bytes do
+    incr txid;
+    let t = !txid in
+    add (Log_record.Begin { txid = t });
+    let fate = Rng.int rng 10 in
+    let keys =
+      List.init
+        (1 + Rng.int rng 3)
+        (fun i -> if fate = 0 then 100_000 + (t * 4) + i else Rng.int rng 800)
+    in
+    let writes =
+      List.map
+        (fun key ->
+          let before = Option.value ~default:"" (Hashtbl.find_opt values key) in
+          let after = Printf.sprintf "%d:%d:%s" t key (String.make (Rng.int rng 3000) 'v') in
+          add (Log_record.Update { txid = t; key; before; after });
+          (key, before, after))
+        keys
+    in
+    (match fate with
+    | 0 -> ()
+    | 1 ->
+        List.iter
+          (fun (key, before, after) ->
+            add (Log_record.Update { txid = t; key; before = after; after = before }))
+          (List.rev writes);
+        add (Log_record.Abort { txid = t })
+    | _ ->
+        List.iter (fun (key, _, after) -> Hashtbl.replace values key after) writes;
+        add (Log_record.Commit { txid = t }));
+    if Rng.int rng 40 = 0 then add (Log_record.Noop { filler = 48 })
+  done;
+  let log = Buffer.contents buf in
+  String.sub log 0 (String.length log - 5)
+
+(* Everything [Recovery.run] returns, the store and the parities in
+   their iteration order (a restart seeds its pool in the store's
+   order), folded into one digest. *)
+let recovery_fingerprint (r : Recovery.result) =
+  let b = Buffer.create 65_536 in
+  Buffer.add_string b (Format.asprintf "%a|" Recovery.pp_stats (Recovery.stats r));
+  List.iter
+    (fun l ->
+      List.iter (Printf.bprintf b "%d,") l;
+      Buffer.add_char b '|')
+    [ r.Recovery.committed; r.Recovery.aborted; r.Recovery.losers ];
+  Printf.bprintf b "%d %d %d|" (Lsn.to_int r.Recovery.redo_start)
+    (Lsn.to_int r.Recovery.durable_end) r.Recovery.pages_loaded;
+  List.iter
+    (fun (record, lsn) ->
+      Log_record.encode_into record b;
+      Printf.bprintf b "@%d" (Lsn.to_int lsn))
+    r.Recovery.records;
+  Hashtbl.iter (Printf.bprintf b "p%d=%d,") r.Recovery.parities;
+  Hashtbl.iter
+    (fun key value -> Printf.bprintf b "k%d=%s," key (Digest.to_hex (Digest.string value)))
+    r.Recovery.store;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* [recovery_fingerprint] of this media, captured from the recovery
+   that read every chunk and page slot into fresh strings; reading in
+   place must not change any of it. *)
+let loser_log_fingerprint = "7e16c60f10d845d671efeb6c3381ce35"
+
+let recovery_matches_previous_results () =
+  let log = loser_log ~bytes:(5 * scan_chunk_bytes / 2) in
+  let log_device =
+    Storage.Block.of_media
+      (media_with ~sectors:(1 lsl 16) [ (Wal.default_config.Wal.log_start_lba, log) ])
+  in
+  let data =
+    Storage.Block.Media.create ~sector_size:scan_sector ~capacity_sectors:(1 lsl 14)
+  in
+  let mid = String.length log / 2 in
+  for id = 0 to 49 do
+    let values lsn = [ (id * 16, Printf.sprintf "img%d@%d" id lsn); ((id * 16) + 15, "tail") ] in
+    let image lsn = page_image ~id ~lsn (values lsn) in
+    match id mod 5 with
+    | 0 -> ()  (* never flushed *)
+    | 1 ->
+        write_slot data ~id ~parity:0 (image (mid - 1));
+        write_slot data ~id ~parity:1 (image mid)
+    | 2 ->
+        (* The newer slot is torn: recovery falls back to the older. *)
+        write_slot data ~id ~parity:0 (image mid);
+        let torn = Bytes.of_string (image (mid + 1)) in
+        Bytes.set torn 40 'X';
+        write_slot data ~id ~parity:1 (Bytes.to_string torn)
+    | 3 -> write_slot data ~id ~parity:1 (image (String.length log))
+    | _ ->
+        write_slot data ~id ~parity:0 (image 1);
+        write_slot data ~id ~parity:1 (image 1)
+  done;
+  let data_device = Storage.Block.of_media data in
+  let r =
+    Recovery.run ~log_device ~data_device ~wal_config:Wal.default_config
+      ~pool_config:Buffer_pool.default_config
+  in
+  Alcotest.(check bool) "log spans chunks" true (String.length log > 2 * scan_chunk_bytes);
+  Alcotest.(check bool) "records are the log's" true
+    (r.Recovery.records = Log_record.decode_stream log);
+  Alcotest.(check bool) "losers and aborts present" true
+    (r.Recovery.losers <> [] && r.Recovery.aborted <> []);
+  Alcotest.(check bool) "some loser update undone" true (r.Recovery.undo_applied > 0);
+  Alcotest.(check (option int)) "torn newer slot falls back to parity 0" (Some 0)
+    (Hashtbl.find_opt r.Recovery.parities 2);
+  Alcotest.(check string) "same results as before" loser_log_fingerprint
+    (recovery_fingerprint r)
+
+let recovery_in_place_suite =
+  ( "dbms.recovery_in_place",
+    [
+      slot_choice_matches_reference_prop;
+      case "allocation per loaded page bounded" recovery_allocation_per_page;
+      case "multi-chunk log with losers and a torn slot: same results"
+        recovery_matches_previous_results;
+    ] )
+
+let suites = suites @ [ recovery_in_place_suite ]

@@ -486,8 +486,7 @@ let live_drain_equals_shared_prop =
                   Storage.Block.write inner ~fua ~lba data);
               op_flush = (fun () -> Storage.Block.flush inner);
               op_power_cut = (fun () -> Storage.Block.power_cut inner);
-              op_durable_read =
-                (fun ~lba ~sectors -> Storage.Block.durable_read inner ~lba ~sectors);
+              op_durable_read_into = Storage.Block.durable_read_into inner;
               op_durable_extent = (fun () -> Storage.Block.durable_extent inner);
             }
           ()

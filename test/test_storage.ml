@@ -687,3 +687,146 @@ let stripe_suite =
     ] )
 
 let suites = suites @ [ stripe_suite ]
+
+(* -- Durable reads into a caller's buffer ------------------------------- *)
+
+(* Every device fills a caller's buffer through one durable op, and
+   recovery reuses that buffer across reads. So a fill must match what
+   [durable_read] returns, write zeros where nothing was ever written
+   (a reused buffer holds stale bytes there, not zeros), and touch no
+   byte outside its range. The buffer starts dirty with [stale] bytes
+   and the written sectors hold letters, so each failure shows. *)
+let stale = '\xA5'
+
+let fill_gen =
+  QCheck2.Gen.(
+    pair
+      (list_size (int_range 0 12)
+         (triple (int_range 0 56) (int_range 1 8) (map Char.chr (int_range 97 122))))
+      (list_size (int_range 1 6)
+         (triple (int_range 0 56) (int_range 1 8) (int_range 0 700))))
+
+let fill_print (writes, reads) =
+  let triple (a, b, c) = Printf.sprintf "(%d,%d,%s)" a b c in
+  Printf.sprintf "writes [%s] reads [%s]"
+    (String.concat ";"
+       (List.map (fun (l, n, c) -> triple (l, n, Printf.sprintf "%C" c)) writes))
+    (String.concat ";" (List.map (fun (l, n, o) -> triple (l, n, string_of_int o)) reads))
+
+(* The sector map the writes leave, later writes winning. *)
+let sector_map writes =
+  let map = Hashtbl.create 64 in
+  List.iter
+    (fun (lba, sectors, c) ->
+      for s = lba to lba + sectors - 1 do
+        Hashtbl.replace map s c
+      done)
+    writes;
+  map
+
+let check_fill name ~expected ~read_into ?durable_read (lba, sectors, off) =
+  let len = sectors * sector in
+  let buf = Bytes.make (off + len + 300) stale in
+  read_into ~lba ~sectors buf ~off;
+  Bytes.iteri
+    (fun i got ->
+      let want =
+        if i < off || i >= off + len then stale
+        else
+          Option.value ~default:'\000'
+            (Hashtbl.find_opt expected (lba + ((i - off) / sector)))
+      in
+      if got <> want then
+        QCheck2.Test.fail_reportf
+          "%s: %d-sector fill of lba %d at offset %d: byte %d is %C, want %C" name
+          sectors lba off i got want)
+    buf;
+  match durable_read with
+  | Some read when Bytes.sub_string buf off len <> read ~lba ~sectors ->
+      QCheck2.Test.fail_reportf "%s: fill of lba %d differs from durable_read" name lba
+  | Some _ | None -> ()
+
+let fill_devices =
+  [
+    ("hdd", make_hdd);
+    ("ssd", make_ssd);
+    ("nvme", fun sim -> Storage.Nvme.create sim Storage.Nvme.default);
+    ("stripe", fun sim -> fst (make_stripe sim));
+    ( "write-cache",
+      fun sim -> Storage.Write_cache.wrap sim Storage.Write_cache.default (make_ssd sim) );
+    ( "virtio",
+      fun sim ->
+        Hypervisor.Virtio_blk.create sim ~ipc:Hypervisor.Ipc.default_sel4
+          ~backend_domain:
+            (Hypervisor.Domain.create sim ~name:"drv" ~kind:Hypervisor.Domain.Trusted)
+          (Hypervisor.Virtio_blk.backend_of_block (make_ssd sim)) );
+  ]
+
+let durable_fill_prop =
+  prop "durable fills match durable_read, zero holes, stay in range" ~count:60
+    ~print:fill_print fill_gen (fun (writes, reads) ->
+      let expected = sector_map writes in
+      let media_write media =
+        List.iter (fun (lba, sectors, c) ->
+            Storage.Block.Media.write media ~lba ~data:(data_of c sectors))
+      in
+      let root = Storage.Block.Media.create ~sector_size:sector ~capacity_sectors:64 in
+      media_write root writes;
+      let frozen = Storage.Block.of_media root in
+      (* The overlay gets the second half of the writes over a root
+         holding the first half, so it mixes own and read-through
+         pages. *)
+      let half = List.length writes / 2 in
+      let base = Storage.Block.Media.create ~sector_size:sector ~capacity_sectors:64 in
+      media_write base (List.filteri (fun i _ -> i < half) writes);
+      let overlay = Storage.Block.Media.overlay base in
+      media_write overlay (List.filteri (fun i _ -> i >= half) writes);
+      List.iter
+        (fun read ->
+          check_fill "root media" ~expected
+            ~read_into:(Storage.Block.Media.read_into root)
+            ~durable_read:(Storage.Block.Media.read root) read;
+          check_fill "overlay media" ~expected
+            ~read_into:(Storage.Block.Media.read_into overlay)
+            ~durable_read:(Storage.Block.Media.read overlay) read;
+          check_fill "of_media" ~expected
+            ~read_into:(Storage.Block.durable_read_into frozen)
+            ~durable_read:(Storage.Block.durable_read frozen) read)
+        reads;
+      List.iter
+        (fun (name, make) ->
+          run_in_sim (fun sim ->
+              let dev = make sim in
+              List.iter
+                (fun (lba, sectors, c) ->
+                  Storage.Block.write dev ~fua:true ~lba (data_of c sectors))
+                writes;
+              List.iter
+                (check_fill name ~expected
+                   ~read_into:(Storage.Block.durable_read_into dev)
+                   ~durable_read:(Storage.Block.durable_read dev))
+                reads))
+        fill_devices;
+      true)
+
+let durable_fill_checks_buffer () =
+  let dev =
+    Storage.Block.of_media
+      (Storage.Block.Media.create ~sector_size:sector ~capacity_sectors:64)
+  in
+  let buf = Bytes.make (2 * sector) stale in
+  Alcotest.check_raises "range past the buffer"
+    (Invalid_argument "Block.durable_read_into") (fun () ->
+      Storage.Block.durable_read_into dev ~lba:0 ~sectors:2 buf ~off:1);
+  Alcotest.(check string) "buffer untouched" (String.make (2 * sector) stale)
+    (Bytes.to_string buf)
+
+let suites =
+  suites
+  @ [
+      ( "storage.durable_fill",
+        [
+          durable_fill_prop;
+          case "a fill past the buffer raises" durable_fill_checks_buffer;
+        ] );
+    ]
