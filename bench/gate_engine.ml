@@ -12,7 +12,8 @@
      arithmetic, the WAL stream append, the adaptive group-commit
      decision and the workload generators' random draws — all gated
      allocation-free;
-   - the recovery scan's allocation per byte of log it reads;
+   - the recovery scan's allocation per byte of log it reads, and a
+     WAL force's allocation beyond its device image;
    - the commit-path grid: throughput and p50/p99 commit latency across
      device × WAL stream count × commit policy × client count, with the
      adaptive policy required to beat fixed batching on p99 at every
@@ -255,6 +256,72 @@ let measure_recovery_scan () =
   let allocated = Gc.allocated_bytes () -. before in
   (List.length records, bytes, allocated /. float_of_int bytes)
 
+(* A steady-state WAL force builds its device image in one zero-padded
+   allocation. Each force here covers one pg-like update pair with
+   700-byte images, so most images end mid-sector and need padding, on
+   a device whose writes complete at once and keep nothing. Beyond the
+   image (n bytes take n/8 + 2 words), a force may allocate only its
+   bookkeeping: the lock's closure and the batch-size sample. A force
+   that slices the stream and then concatenates the padding allocates
+   each image about twice. *)
+let wal_force_words_beyond_image = 32.
+
+let measure_wal_force ~forces =
+  let sim = Sim.create () in
+  let sector_size = 512 in
+  let ops =
+    {
+      Storage.Block.op_read = (fun ~lba:_ ~sectors -> String.make (sectors * sector_size) '\000');
+      op_write = (fun ~lba:_ ~data:_ ~fua:_ -> ());
+      op_flush = ignore;
+      op_power_cut = ignore;
+      op_durable_read_into = (fun ~lba:_ ~sectors:_ _ ~off:_ -> ());
+      op_durable_extent = (fun () -> 0);
+    }
+  in
+  let device =
+    Storage.Block.make
+      ~info:{ Storage.Block.model = "sink"; sector_size; capacity_sectors = 1 lsl 40 }
+      ~stats:(Storage.Disk_stats.create ()) ~ops ()
+  in
+  let wal = Dbms.Wal.create sim Dbms.Wal.default_config ~device in
+  let update =
+    Dbms.Log_record.Update
+      { txid = 7; key = 42; before = String.make 700 'b'; after = String.make 700 'a' }
+  in
+  let filler =
+    Dbms.Log_record.Noop
+      { filler = Dbms.Engine_profile.postgres_like.Dbms.Engine_profile.update_meta_bytes }
+  in
+  let force_pair () =
+    ignore (Dbms.Wal.append wal update);
+    Dbms.Wal.force wal (Dbms.Wal.append wal filler)
+  in
+  let result = ref (0., 0.) in
+  ignore
+    (Process.spawn sim (fun () ->
+         (* Past the first compactions, so the stream buffer is at its
+            steady size. *)
+         for _ = 1 to 1_000 do
+           force_pair ()
+         done;
+         let image_bytes = Dbms.Wal.force_bytes wal in
+         let written_before = Stats.Sample.mean image_bytes *. float_of_int (Stats.Sample.count image_bytes) in
+         Gc.minor ();
+         let before = Gc.allocated_bytes () in
+         for _ = 1 to forces do
+           force_pair ()
+         done;
+         let words = (Gc.allocated_bytes () -. before) /. 8. in
+         let written =
+           (Stats.Sample.mean image_bytes *. float_of_int (Stats.Sample.count image_bytes))
+           -. written_before
+         in
+         let per_force = written /. float_of_int forces in
+         result := (per_force, (words /. float_of_int forces) -. ((per_force /. 8.) +. 2.))));
+  Sim.run sim;
+  !result
+
 let adaptive_policy = Dbms.Commit_policy.Adaptive { target_ns = 100_000; max_batch = 16 }
 
 (* The adaptive group-commit decision: pure integer arithmetic a
@@ -493,6 +560,21 @@ let engine (g : Gate.t) =
          ("records", Gate.num_int scan_records);
          ("log_bytes", Gate.num_int scan_bytes);
          ("bytes_allocated_per_log_byte", Num scan_per_byte);
+       ]);
+
+  let wal_forces = if quick then 20_000 else 200_000 in
+  let image_bytes, beyond_image = measure_wal_force ~forces:wal_forces in
+  Printf.printf "engine: wal force %.0f B image, %.1f words beyond it\n%!" image_bytes
+    beyond_image;
+  Gate.check g "alloc.wal_force" (beyond_image <= wal_force_words_beyond_image)
+    (Printf.sprintf "allocates %.1f words per force beyond its %.0f-byte image (bound %.0f)"
+       beyond_image image_bytes wal_force_words_beyond_image);
+  Gate.report g "wal_force"
+    (Obj
+       [
+         ("forces", Gate.num_int wal_forces);
+         ("image_bytes_per_force", Num image_bytes);
+         ("words_beyond_image_per_force", Num beyond_image);
        ]);
 
   let n = if quick then 2 else 3 in

@@ -15,7 +15,11 @@
     cached pages sit in an indexed binary min-heap ordered clean before
     dirty, then by stamp: an access, a change of dirtiness (mark, flush,
     install) and an eviction each cost O(log capacity) and allocate
-    nothing, and the victim is the heap's root.
+    nothing, and the victim is the heap's root. A dirty victim stays
+    cached, and hittable, while its flush is on the device; if a hit
+    updated it meanwhile, it stays dirty and cached and the victim is
+    picked again, so no update is lost to an eviction. A second indexed
+    heap holds the dirty pages by stamp, and serves {!clean}.
 
     {b Torn-page protection.} A page image spans many sectors, and a
     power cut can tear a write at sector granularity — which would
@@ -84,8 +88,9 @@ val flush_page : t -> Page.t -> unit
 
 val clean : t -> batch:int -> unit
 (** One background-writer pass: flush up to [batch] of the
-    least-recently-used dirty pages, oldest first. Must run in a
-    process. *)
+    least-recently-used dirty pages, oldest first. The batch is fixed
+    before the first write; choosing it costs O(batch · log batch)
+    whatever the capacity. Must run in a process. *)
 
 val spawn_cleaner :
   t ->

@@ -17,8 +17,6 @@ let run_once ~wal ~pool =
   let lsn = Wal.append wal (Log_record.Checkpoint { redo_lsn }) in
   Wal.force wal lsn;
   Wal.write_master wal redo_lsn;
-  (* Everything before the redo point is never needed again. *)
-  Wal.truncate wal redo_lsn;
   redo_lsn
 
 let loop config ~wal ~pool () =

@@ -43,13 +43,12 @@ let t7 = tables.(7)
 
 let[@inline] byte_s s i = Char.code (String.unsafe_get s i)
 
-external get32u : string -> int -> int32 = "%caml_string_get32u"
-external bswap32 : int32 -> int32 = "%bswap_int32"
+external get64u : string -> int -> int64 = "%caml_string_get64u"
+external bswap64 : int64 -> int64 = "%bswap_int64"
 
-(* The little-endian 32-bit word at [i], unsigned, as an untagged int. *)
-let[@inline] word_s s i =
-  if Sys.big_endian then Int32.to_int (bswap32 (get32u s i)) land mask
-  else Int32.to_int (get32u s i) land mask
+(* The little-endian 64-bit word at [i]; callers split it into its two
+   32-bit halves without boxing it. *)
+let[@inline] dword_s s i = if Sys.big_endian then bswap64 (get64u s i) else get64u s i
 
 (* The word updates further down are these slicing steps with the input
    bytes taken from an int instead of memory: four bytes go through
@@ -67,9 +66,9 @@ let[@inline] slice_hi4 c =
   lxor Array.unsafe_get t5 ((c lsr 16) land 0xFF)
   lxor Array.unsafe_get t4 ((c lsr 24) land 0xFF)
 
-(* Eight input bytes per iteration, loaded as two 32-bit words: the
-   first folds into the register and goes through tables 7..4, the
-   second through tables 3..0. *)
+(* Eight input bytes per iteration, loaded as one 64-bit word: its low
+   half folds into the register and goes through tables 7..4, its high
+   half through tables 3..0. *)
 let update_string_raw crc0 s ~pos ~len =
   assert (pos >= 0 && len >= 0);
   let crc = ref crc0 in
@@ -77,7 +76,10 @@ let update_string_raw crc0 s ~pos ~len =
   let stop = pos + len in
   while stop - !i >= 8 do
     let j = !i in
-    crc := slice_hi4 (!crc lxor word_s s j) lxor slice_lo4 (word_s s (j + 4));
+    let w = dword_s s j in
+    crc :=
+      slice_hi4 (!crc lxor (Int64.to_int w land mask))
+      lxor slice_lo4 (Int64.to_int (Int64.shift_right_logical w 32));
     i := j + 8
   done;
   while !i < stop do

@@ -35,7 +35,6 @@ type t = {
   locks : Lock_table.t;
   txns : Txn.Manager.t;
   commit_serialiser : Resource.Mutex.t;  (* used by the Serial policy *)
-  mutable committed_txids : int list;  (* descending *)
   latencies : Stats.Sample.t;
   metrics : engine_metrics option;
 }
@@ -54,7 +53,6 @@ let create ~vmm ~profile ?(async_commit = false) ?first_txid ~wal ~pool () =
     locks = Lock_table.create sim;
     txns = Txn.Manager.create ?first_txid ();
     commit_serialiser = Resource.Mutex.create sim;
-    committed_txids = [];
     latencies = Stats.Sample.create ();
     metrics =
       Option.map
@@ -95,20 +93,31 @@ let profile t = t.profile
 let wal t = t.wal
 let pool t = t.pool
 
+(* Keep the first binding of each run of equal keys. *)
+let rec dedup = function
+  | ((a, _) as first) :: (b, _) :: rest when Int.equal a b -> dedup (first :: rest)
+  | first :: rest -> first :: dedup rest
+  | [] -> []
+
 let write_set ops =
   (* Lock acquisition in key order prevents deadlock; the last write to a
-     key within one transaction wins. A [None] value is a delete. *)
-  let last = Hashtbl.create 8 in
-  List.iter
-    (function
-      | Put { key; value } ->
-          assert (String.length value > 0);
-          Hashtbl.replace last key (Some value)
-      | Delete { key } -> Hashtbl.replace last key None
-      | Get _ -> ())
-    ops;
-  let writes = Hashtbl.fold (fun key value acc -> (key, value) :: acc) last [] in
-  List.sort (fun (a, _) (b, _) -> Int.compare a b) writes
+     key within one transaction wins. A [None] value is a delete. The
+     writes are gathered newest first, so after a stable sort by key
+     the first of each key's run is its last write. *)
+  let newest_first =
+    List.fold_left
+      (fun acc op ->
+        match op with
+        | Put { key; value } ->
+            assert (String.length value > 0);
+            (key, Some value) :: acc
+        | Delete { key } -> (key, None) :: acc
+        | Get _ -> acc)
+      [] ops
+  in
+  match newest_first with
+  | [] | [ _ ] -> newest_first
+  | _ -> dedup (List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) newest_first)
 
 let read_set ops =
   List.filter_map (function Get { key } -> Some key | Put _ | Delete _ -> None) ops
@@ -137,7 +146,7 @@ let apply_update t txn ~deps ~key ~value =
       match value with
       | Some v -> Page.set page ~key ~value:v ~lsn
       | None ->
-          Hashtbl.remove page.Page.values key;
+          Desim.Int_table.remove page.Page.values key;
           page.Page.page_lsn <- Lsn.max page.Page.page_lsn lsn)
 
 let cpu t span = Hypervisor.Vmm.exec t.vmm span
@@ -262,7 +271,6 @@ let exec t ops =
   (match t.metrics with
   | Some m when writes <> [] -> Metrics.Histogram.observe_span m.m_total latency
   | Some _ | None -> ());
-  t.committed_txids <- Txn.txid txn :: t.committed_txids;
   Stats.Sample.add_span t.latencies latency;
   { txid = Txn.txid txn; writes; reads; latency }
 
@@ -282,7 +290,7 @@ let undo_in_memory t txn ~deps =
           if deps != no_deps then
             deps.(stream) <- max deps.(stream) (Lsn.to_int lsn);
           Buffer_pool.mark_dirty t.pool page ~lsn;
-          if String.length before = 0 then Hashtbl.remove page.Page.values key
+          if String.length before = 0 then Desim.Int_table.remove page.Page.values key
           else Page.set page ~key ~value:before ~lsn;
           page.Page.page_lsn <- Lsn.max page.Page.page_lsn lsn))
     (Txn.undo_log txn)
@@ -316,7 +324,6 @@ let exec_abort t ops =
   release txn t;
   Txn.txid txn
 
-let committed_txids t = List.rev t.committed_txids
 let committed_count t = Txn.Manager.committed t.txns
 let aborted_count t = Txn.Manager.aborted t.txns
 let latencies t = t.latencies

@@ -61,10 +61,6 @@ val exec_abort : t -> op list -> int
 (** Run the transaction's updates, then roll it back; returns the txid.
     For failure-path tests. *)
 
-val committed_txids : t -> int list
-(** Ascending txids of every transaction this engine committed (i.e.
-    acked); the durability audit compares this against recovery. *)
-
 val committed_count : t -> int
 val aborted_count : t -> int
 val latencies : t -> Desim.Stats.Sample.t

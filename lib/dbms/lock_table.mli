@@ -1,6 +1,7 @@
 (** Exclusive per-key locks (strict two-phase locking).
 
     Waiters are queued FIFO per key. Locks are reentrant for their owner.
+    Txids are positive, as {!Txn.Manager} allocates them.
     Callers avoid deadlock by acquiring keys in sorted order (the engine
     sorts each transaction's write set); the table itself does no
     deadlock detection. *)

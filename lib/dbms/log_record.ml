@@ -165,15 +165,18 @@ let no_record = Noop { filler = -1 }
 (* Decoded fillers up to this size share one immutable value each. *)
 let noops = Array.init 257 (fun filler -> Noop { filler })
 
+(* An empty image (an insert's before-image, a delete's after-image) is
+   the one shared empty string. *)
+let image s ~pos ~len = if len = 0 then "" else String.sub s pos len
+
 let decode_body kind s ~pos ~len =
-  let fits n = len >= n in
   match kind with
-  | 1 when fits 8 -> Begin { txid = u64 s pos }
-  | 3 when fits 8 -> Commit { txid = u64 s pos }
-  | 4 when fits 8 -> Abort { txid = u64 s pos }
-  | 5 when fits 8 -> Checkpoint { redo_lsn = Lsn.of_int (u64 s pos) }
+  | 1 when len >= 8 -> Begin { txid = u64 s pos }
+  | 3 when len >= 8 -> Commit { txid = u64 s pos }
+  | 4 when len >= 8 -> Abort { txid = u64 s pos }
+  | 5 when len >= 8 -> Checkpoint { redo_lsn = Lsn.of_int (u64 s pos) }
   | 6 -> if len < Array.length noops then noops.(len) else Noop { filler = len }
-  | 2 when fits 20 ->
+  | 2 when len >= 20 ->
       let blen = u32 s (pos + 16) in
       if blen < 0 || 20 + blen + 4 > len then no_record
       else begin
@@ -184,11 +187,11 @@ let decode_body kind s ~pos ~len =
             {
               txid = u64 s pos;
               key = u64 s (pos + 8);
-              before = String.sub s (pos + 20) blen;
-              after = String.sub s (pos + 24 + blen) alen;
+              before = image s ~pos:(pos + 20) ~len:blen;
+              after = image s ~pos:(pos + 24 + blen) ~len:alen;
             }
       end
-  | (7 | 8) when fits 9 ->
+  | (7 | 8) when len >= 9 ->
       let count = String.get_uint8 s (pos + 8) in
       if len <> 9 + (8 * count) then no_record
       else begin

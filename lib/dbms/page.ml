@@ -1,6 +1,6 @@
 type t = {
   id : int;
-  values : (int, string) Hashtbl.t;
+  values : string Desim.Int_table.t;
   mutable page_lsn : Lsn.t;
   mutable rec_lsn : Lsn.t option;
 }
@@ -9,15 +9,15 @@ let magic = 0x50414745l
 let header_size = 28
 
 let create ~id =
-  { id; values = Hashtbl.create 16; page_lsn = Lsn.zero; rec_lsn = None }
+  { id; values = Desim.Int_table.create 16; page_lsn = Lsn.zero; rec_lsn = None }
 
 let keys_of_page ~keys_per_page id = (id * keys_per_page, (id + 1) * keys_per_page)
 let page_of_key ~keys_per_page key = key / keys_per_page
 
-let get t ~key = Hashtbl.find_opt t.values key
+let get t ~key = Desim.Int_table.find_opt t.values key
 
 let set t ~key ~value ~lsn =
-  Hashtbl.replace t.values key value;
+  Desim.Int_table.replace t.values key value;
   t.page_lsn <- Lsn.max t.page_lsn lsn
 
 let is_dirty t = t.rec_lsn <> None
@@ -29,9 +29,11 @@ let serialize t ~page_bytes =
   fits header_size;
   let image = Bytes.make page_bytes '\000' in
   (* Deterministic image: entries in key order, written in place. *)
-  let keys = List.sort Int.compare (List.of_seq (Hashtbl.to_seq_keys t.values)) in
+  let keys =
+    List.sort Int.compare (Desim.Int_table.fold (fun key _ acc -> key :: acc) t.values [])
+  in
   let add_entry pos key =
-    let value = Hashtbl.find t.values key in
+    let value = Desim.Int_table.find t.values key in
     let len = String.length value in
     fits (pos + 12 + len);
     Bytes.set_int64_le image pos (Int64.of_int key);
@@ -82,7 +84,7 @@ let deserialize image =
           let len = Int32.to_int (String.get_int32_le image (pos + 8)) in
           if len < 0 || pos + 12 + len > String.length image then None
           else begin
-            Hashtbl.replace t.values key (String.sub image (pos + 12) len);
+            Desim.Int_table.replace t.values key (String.sub image (pos + 12) len);
             read_entry (pos + 12 + len) (remaining - 1)
           end
         end

@@ -18,7 +18,7 @@
 
 type t = {
   id : int;
-  values : (int, string) Hashtbl.t;
+  values : string Desim.Int_table.t;
   mutable page_lsn : Lsn.t;
   mutable rec_lsn : Lsn.t option;  (** [None] when clean *)
 }

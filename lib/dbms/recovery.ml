@@ -51,11 +51,12 @@ let read_durable_log ~log_device ~wal_config =
   if extent <= start then ""
   else Storage.Block.durable_read log_device ~lba:start ~sectors:(extent - start)
 
-(* Int-keyed tables for recovery's per-record lookups: an identity hash
-   instead of the generic one. Tables whose iteration order reaches the
-   result ([pages], the candidate pages, [store]) are generic
-   [Hashtbl]s filled in log order: a restart seeds its pool in the
-   store's iteration order, which is simulated behaviour. *)
+(* Int-keyed tables for recovery's per-record lookups: an identity hash,
+   cheaper than [Desim.Int_table]'s, which pays for reproducing the
+   generic hash. Tables whose iteration order reaches the result
+   ([pages], the candidate pages, [store]) are generic [Hashtbl]s filled
+   in log order: a restart seeds its pool in the store's iteration
+   order, which is simulated behaviour. *)
 module Int_tbl = Hashtbl.Make (struct
   type t = int
 
@@ -167,7 +168,7 @@ type outcome = Won | Lost
    counts only if its dependency vector is [valid]; the single stream
    passes every vector. The same pass collects the candidate pages: the
    on-media log is append-only (only the in-guest WAL memory is ever
-   truncated), so every key that ever reached a page image appears in
+   recycled), so every key that ever reached a page image appears in
    some durable update record — the distinct pages of those keys are
    exactly the slots worth reading. This keeps recovery proportional to
    the touched working set instead of the (sparse) key-space extent.
@@ -208,17 +209,26 @@ let analyse ~valid ~keys_per_page streams =
              if valid deps then outcome txid fate_lost else seen txid
          | Log_record.Checkpoint _ | Log_record.Noop _ -> ()))
     streams;
-  let committed = ref [] and aborted = ref [] and losers = ref [] in
+  (* Each fate's txids sorted in an int array: the only list built is
+     the result, where sorting a list would allocate a list per merge
+     level. *)
+  let counts = Array.make 3 0 in
+  Int_tbl.iter (fun _ v -> counts.(v) <- counts.(v) + 1) fate;
+  let sorted = Array.map (fun n -> Array.make n 0) counts in
+  Array.fill counts 0 3 0;
   Int_tbl.iter
     (fun txid v ->
-      if v = fate_won then committed := txid :: !committed
-      else if v = fate_lost then aborted := txid :: !aborted
-      else losers := txid :: !losers)
+      sorted.(v).(counts.(v)) <- txid;
+      counts.(v) <- counts.(v) + 1)
     fate;
+  let ascending v =
+    Array.stable_sort Int.compare sorted.(v);
+    Array.fold_right List.cons sorted.(v) []
+  in
   {
-    committed = List.sort Int.compare !committed;
-    aborted = List.sort Int.compare !aborted;
-    losers = List.sort Int.compare !losers;
+    committed = ascending fate_won;
+    aborted = ascending fate_lost;
+    losers = ascending fate_seen;
     candidates = !candidates;
   }
 
@@ -293,6 +303,24 @@ let load_pages ~data_device ~pool_config candidates =
     order;
   (pages, index, parities)
 
+(* The recovered store: every page's values, pages in [pages] order.
+   It is created at the bucket count a generic table grown from 1,024
+   buckets would end with for this many keys (keys are distinct across
+   pages), so it iterates in the grown table's order (a resize keeps
+   each bucket's order, newest binding first) without the doubling
+   copies. A restart seeds its pool in this order. Distinct keys also
+   make [add] bind exactly as [replace] would, without searching the
+   bucket first. *)
+let store_of_pages pages =
+  let keys = Hashtbl.fold (fun _ page n -> n + Desim.Int_table.length page.Page.values) pages 0 in
+  let rec buckets b = if keys > 2 * b then buckets (2 * b) else b in
+  let store = Hashtbl.create (buckets 1024) in
+  Hashtbl.iter
+    (fun _id page ->
+      Desim.Int_table.iter (fun key value -> Hashtbl.add store key value) page.Page.values)
+    pages;
+  store
+
 (* The redo and undo passes plus the final store projection, for both
    the single stream and the multi-stream layout. Mutates [pages] (and
    its lookup [index]) in place.
@@ -338,7 +366,7 @@ let redo_undo_store ~pool_config ~(analysis : analysis) ~redo_start ~supersede
                    key did not exist before the transaction) encodes a
                    delete. *)
                 if String.length after = 0 then begin
-                  Hashtbl.remove page.Page.values key;
+                  Desim.Int_table.remove page.Page.values key;
                   page.Page.page_lsn <- lsn
                 end
                 else Page.set page ~key ~value:after ~lsn;
@@ -372,17 +400,12 @@ let redo_undo_store ~pool_config ~(analysis : analysis) ~redo_start ~supersede
          match record with
          | Log_record.Update { key; before; _ } when not (superseded key lsn) ->
              let page = page_of_key key in
-             if String.length before = 0 then Hashtbl.remove page.Page.values key
-             else Hashtbl.replace page.Page.values key before;
+             if String.length before = 0 then Desim.Int_table.remove page.Page.values key
+             else Desim.Int_table.replace page.Page.values key before;
              incr undo_applied
          | _ -> ()))
     undo_lists;
-  let store = Hashtbl.create 1024 in
-  Hashtbl.iter
-    (fun _id page ->
-      Hashtbl.iter (fun key value -> Hashtbl.replace store key value) page.Page.values)
-    pages;
-  (!redo_applied, !undo_applied, store)
+  (!redo_applied, !undo_applied, store_of_pages pages)
 
 (* Recovery is pure in the media images (no simulation handle), so the
    stage counters resolve against the ambient registry per run rather
@@ -872,7 +895,7 @@ module Incremental = struct
                 let page = find_or_create pages id in
                 if Lsn.(page.Page.page_lsn < lsn) then begin
                   (if String.length after = 0 then begin
-                     Hashtbl.remove page.Page.values key;
+                     Desim.Int_table.remove page.Page.values key;
                      page.Page.page_lsn <- lsn
                    end
                    else Page.set page ~key ~value:after ~lsn);
@@ -932,7 +955,7 @@ module Incremental = struct
             let page = find_or_create t.r_pages id in
             if Lsn.(page.Page.page_lsn < lsn) then begin
               (if String.length after = 0 then begin
-                 Hashtbl.remove page.Page.values key;
+                 Desim.Int_table.remove page.Page.values key;
                  page.Page.page_lsn <- lsn
                end
                else Page.set page ~key ~value:after ~lsn);
@@ -964,7 +987,7 @@ module Incremental = struct
   let copy_page page =
     {
       Page.id = page.Page.id;
-      values = Hashtbl.copy page.Page.values;
+      values = Desim.Int_table.copy page.Page.values;
       page_lsn = page.Page.page_lsn;
       rec_lsn = page.Page.rec_lsn;
     }
@@ -1219,7 +1242,7 @@ module Incremental = struct
             let page = page_of_key key in
             if Lsn.(page.Page.page_lsn < lsn) then begin
               (if String.length after = 0 then begin
-                 Hashtbl.remove page.Page.values key;
+                 Desim.Int_table.remove page.Page.values key;
                  page.Page.page_lsn <- lsn
                end
                else Page.set page ~key ~value:after ~lsn);
@@ -1255,19 +1278,14 @@ module Incremental = struct
         match (if i < m then sh.f_recs.(i) else odd_recs.(i - m)) with
         | Log_record.Update { key; before; _ } ->
             let page = page_of_key key in
-            if String.length before = 0 then Hashtbl.remove page.Page.values key
-            else Hashtbl.replace page.Page.values key before;
+            if String.length before = 0 then Desim.Int_table.remove page.Page.values key
+            else Desim.Int_table.replace page.Page.values key before;
             incr undo_applied
         | _ -> assert false)
       positions;
-    let store = Hashtbl.create 1024 in
-    Hashtbl.iter
-      (fun _id page ->
-        Hashtbl.iter (fun key value -> Hashtbl.replace store key value) page.Page.values)
-      pages;
     note_metrics
       {
-        store;
+        store = store_of_pages pages;
         records;
         parities;
         committed;

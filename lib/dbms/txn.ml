@@ -20,31 +20,31 @@ module Manager = struct
 
   type t = {
     mutable next_txid : int;
-    active : (int, txn) Hashtbl.t;
+    active : txn Desim.Int_table.t;
     mutable committed : int;
     mutable aborted : int;
   }
 
   let create ?(first_txid = 1) () =
     assert (first_txid >= 1);
-    { next_txid = first_txid; active = Hashtbl.create 64; committed = 0; aborted = 0 }
+    { next_txid = first_txid; active = Desim.Int_table.create 64; committed = 0; aborted = 0 }
 
   let begin_txn t =
     let txn = { id = t.next_txid; status = Active; locks = []; undo = [] } in
     t.next_txid <- t.next_txid + 1;
-    Hashtbl.replace t.active txn.id txn;
+    Desim.Int_table.replace t.active txn.id txn;
     txn
 
   let finish t txn status =
     assert (status <> Active);
     txn.status <- status;
-    Hashtbl.remove t.active txn.id;
+    Desim.Int_table.remove t.active txn.id;
     match status with
     | Committed -> t.committed <- t.committed + 1
     | Aborted -> t.aborted <- t.aborted + 1
     | Active -> assert false
 
-  let active_count t = Hashtbl.length t.active
+  let active_count t = Desim.Int_table.length t.active
   let started t = t.next_txid - 1
   let committed t = t.committed
   let aborted t = t.aborted

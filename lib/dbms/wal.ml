@@ -32,8 +32,9 @@ type wal_metrics = {
    one of these over the region at [log_start_lba], and every code path
    below reduces to the single-log behaviour byte for byte. *)
 type stream_state = {
-  s_buf : Buffer.t;  (* log bytes from [s_base] onwards; older bytes are
-                        recycled by {!truncate} *)
+  s_buf : Buffer.t;
+      (* log bytes from [s_base] onwards: the tail a force can still
+         need, see [compact] *)
   mutable s_base : int;  (* stream offset of [Buffer.nth s_buf 0] *)
   mutable s_flushed : Lsn.t;
   s_mutex : Resource.Mutex.t;
@@ -49,7 +50,6 @@ type t = {
   streams : stream_state array;
   mutable policy : Commit_policy.t;
   mutable forces : int;
-  mutable truncated_bytes : int;
   force_bytes : Stats.Sample.t;
   (* Cross-stream commit-dependency watermark: slot [s] carries the
      highest per-stream LSN any committed transaction has depended on.
@@ -62,6 +62,11 @@ type t = {
   dep_watermark : int array;
   metrics : wal_metrics option;
 }
+
+(* Bytes of dead prefix a stream keeps before [compact] drops them: its
+   initial buffer size, so a stream compacts about once per 64 KiB
+   forced. *)
+let compact_after = 65536
 
 let create sim config ~device =
   assert (config.master_lba < config.log_start_lba);
@@ -79,7 +84,7 @@ let create sim config ~device =
     streams =
       Array.init config.streams (fun s ->
           {
-            s_buf = Buffer.create 65536;
+            s_buf = Buffer.create compact_after;
             s_base = 0;
             s_flushed = Lsn.zero;
             s_mutex = Resource.Mutex.create sim;
@@ -89,7 +94,6 @@ let create sim config ~device =
           });
     policy = Commit_policy.default;
     forces = 0;
-    truncated_bytes = 0;
     force_bytes = Stats.Sample.create ();
     dep_watermark = Array.make config.streams 0;
     metrics =
@@ -141,14 +145,33 @@ let ewma_ns ?(stream = 0) t = t.streams.(stream).s_ewma_ns
 let sector_size t = (Storage.Block.info t.device).Storage.Block.sector_size
 
 (* Bytes [from_b, to_b) of the stream as whole sectors, zero-padded past
-   the stream end. *)
-let sector_slice st ~from_b ~to_b =
+   the stream end: one allocation, the device image. *)
+let sector_image st ~from_b ~to_b =
   assert (from_b >= st.s_base);
-  let stream_end = st.s_base + Buffer.length st.s_buf in
-  let available = min to_b stream_end in
-  let slice = Buffer.sub st.s_buf (from_b - st.s_base) (available - from_b) in
-  if available = to_b then slice
-  else slice ^ String.make (to_b - available) '\000'
+  let available = min to_b (st.s_base + Buffer.length st.s_buf) in
+  let image = Bytes.create (to_b - from_b) in
+  Buffer.blit st.s_buf (from_b - st.s_base) image 0 (available - from_b);
+  Bytes.fill image (available - from_b) (to_b - available) '\000';
+  Bytes.unsafe_to_string image
+
+(* The stream keeps only what a force can still write: from the sector
+   holding [s_flushed], or the sector before it when [s_flushed] is
+   sector-aligned (a force with nothing new rewrites that one). The
+   logger or the device holds everything older. Once that dead prefix
+   passes [compact_after] bytes, the kept tail moves to the front of the
+   buffer, which keeps its storage. *)
+let compact st ~ss =
+  let flushed = Lsn.to_int st.s_flushed in
+  let keep_from = if flushed mod ss = 0 then flushed - ss else flushed / ss * ss in
+  if keep_from - st.s_base > compact_after then begin
+    let tail =
+      Buffer.sub st.s_buf (keep_from - st.s_base)
+        (st.s_base + Buffer.length st.s_buf - keep_from)
+    in
+    Buffer.clear st.s_buf;
+    Buffer.add_string st.s_buf tail;
+    st.s_base <- keep_from
+  end
 
 let do_force t st =
   let ss = sector_size t in
@@ -161,7 +184,7 @@ let do_force t st =
   if t.config.streams > 1 then
     assert (to_b <= t.config.stream_stride_sectors * ss);
   if to_b > from_b then begin
-    let data = sector_slice st ~from_b ~to_b in
+    let data = sector_image st ~from_b ~to_b in
     let write_started = Time.to_ns (Sim.now t.sim) in
     Storage.Block.write t.device ~lba:(st.s_start_lba + (from_b / ss)) data;
     if t.config.flush_after_write then Storage.Block.flush t.device;
@@ -179,7 +202,8 @@ let do_force t st =
   end;
   t.forces <- t.forces + 1;
   Stats.Sample.add t.force_bytes (float_of_int (to_b - from_b));
-  st.s_flushed <- Lsn.of_int target_end
+  st.s_flushed <- Lsn.of_int target_end;
+  compact st ~ss
 
 let force ?(stream = 0) t target =
   let st = t.streams.(stream) in
@@ -248,24 +272,7 @@ let read_master config ~device =
     None
   else Some (Lsn.of_int (Int64.to_int (String.get_int64_le sector 4)))
 
-let truncate t lsn =
-  assert (t.config.streams = 1);
-  let st = t.streams.(0) in
-  assert (Lsn.(lsn <= st.s_flushed));
-  let ss = sector_size t in
-  let cut = Lsn.to_int lsn / ss * ss in
-  if cut > st.s_base then begin
-    let keep =
-      Buffer.sub st.s_buf (cut - st.s_base) (st.s_base + Buffer.length st.s_buf - cut)
-    in
-    Buffer.clear st.s_buf;
-    Buffer.add_string st.s_buf keep;
-    t.truncated_bytes <- t.truncated_bytes + (cut - st.s_base);
-    st.s_base <- cut
-  end
-
 let base_lsn ?(stream = 0) t = Lsn.of_int t.streams.(stream).s_base
-let truncated_bytes t = t.truncated_bytes
 let forces t = t.forces
 let force_bytes t = t.force_bytes
 let stream_contents ?(stream = 0) t = Buffer.contents t.streams.(stream).s_buf

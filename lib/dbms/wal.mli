@@ -124,18 +124,15 @@ val read_master : config -> device:Storage.Block.t -> Lsn.t option
 (** Post-crash, untimed: the redo LSN recorded by the last completed
     checkpoint, if any master block is intact on media. *)
 
-val truncate : t -> Lsn.t -> unit
-(** Release the in-memory stream before [lsn] (sector-aligned down);
-    requires [lsn <= flushed_lsn t] and a single-stream config.
-    Checkpointing truncates to the redo point, bounding the WAL's memory
-    to the since-last-checkpoint window. (Only guest memory is recycled:
-    the on-media log region is append-only in this model, so recovery
-    still scans from the start.) *)
-
 val base_lsn : ?stream:int -> t -> Lsn.t
-(** Oldest stream offset still held in memory. *)
-
-val truncated_bytes : t -> int
+(** Oldest stream offset still held in memory. The stream holds only
+    what a force can still write: from the sector holding {!flushed_lsn}
+    (the sector before it when {!flushed_lsn} is sector-aligned) to
+    {!end_lsn}. It drops the older bytes once they pass 64 KiB, so a
+    stream holds at most 64 KiB plus one sector more than its unforced
+    bytes, checkpoints or not. Only guest memory is recycled: the
+    on-media log region is append-only in this model, so recovery still
+    scans from the start. *)
 
 val forces : t -> int
 (** Number of device writes issued by {!force} across all streams

@@ -31,7 +31,7 @@ let config t = t.config
 
 let initial_rows t =
   List.init t.config.keys (fun key ->
-      (key, Value_gen.make t.rng ~tag:(Printf.sprintf "k%d:" key) ~len:t.config.value_bytes))
+      (key, Value_gen.make_id t.rng ~prefix:"k" key ~len:t.config.value_bytes))
 
 let next t =
   List.init t.config.updates_per_txn (fun _ ->
@@ -40,4 +40,4 @@ let next t =
       then Dbms.Engine.Delete { key }
       else
         Dbms.Engine.Put
-          { key; value = Value_gen.make t.rng ~tag:(Printf.sprintf "k%d:" key) ~len:t.config.value_bytes })
+          { key; value = Value_gen.make_id t.rng ~prefix:"k" key ~len:t.config.value_bytes })

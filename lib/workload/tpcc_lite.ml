@@ -49,21 +49,26 @@ let create rng config =
 let config t = t.config
 
 let value t tag = Value_gen.make t.rng ~tag ~len:t.config.value_bytes
+let warehouse_value t w = Value_gen.make_id t.rng ~prefix:"wh:" w ~len:t.config.value_bytes
+
+let district_value t w d =
+  Value_gen.make_id2 t.rng ~prefix:"di:" w d ~len:t.config.value_bytes
 
 let initial_rows t =
   let c = t.config in
   let rows = ref [] in
-  let add key tag = rows := (key, value t tag) :: !rows in
+  let add key value = rows := (key, value) :: !rows in
+  let len = c.value_bytes in
   for w = 0 to c.warehouses - 1 do
-    add (warehouse_key w) (Printf.sprintf "wh:%d:" w);
+    add (warehouse_key w) (warehouse_value t w);
     for d = 0 to districts_per_warehouse - 1 do
-      add (district_key w d) (Printf.sprintf "di:%d.%d:" w d);
+      add (district_key w d) (district_value t w d);
       for cust = 0 to c.customers_per_district - 1 do
-        add (customer_key c w d cust) (Printf.sprintf "cu:%d.%d.%d:" w d cust)
+        add (customer_key c w d cust) (Value_gen.make_id3 t.rng ~prefix:"cu:" w d cust ~len)
       done
     done;
     for i = 0 to c.items_per_warehouse - 1 do
-      add (stock_key c w i) (Printf.sprintf "st:%d.%d:" w i)
+      add (stock_key c w i) (Value_gen.make_id2 t.rng ~prefix:"st:" w i ~len)
     done
   done;
   List.rev !rows
@@ -82,7 +87,7 @@ let new_order t =
   let push op = ops := op :: !ops in
   push (Engine.Get { key = customer_key c w d cust });
   push (Engine.Get { key = district_key w d });
-  push (Engine.Put { key = district_key w d; value = value t (Printf.sprintf "di:%d.%d:" w d) });
+  push (Engine.Put { key = district_key w d; value = district_value t w d });
   t.order_seq <- t.order_seq + 1;
   push (Engine.Put { key = order_key t.order_seq; value = value t "or:" });
   for _ = 1 to lines do
@@ -99,8 +104,8 @@ let payment t =
   let w = pick_warehouse t and d = pick_district t in
   let cust = pick_customer t in
   [
-    Engine.Put { key = warehouse_key w; value = value t (Printf.sprintf "wh:%d:" w) };
-    Engine.Put { key = district_key w d; value = value t (Printf.sprintf "di:%d.%d:" w d) };
+    Engine.Put { key = warehouse_key w; value = warehouse_value t w };
+    Engine.Put { key = district_key w d; value = district_value t w d };
     Engine.Get { key = customer_key c w d cust };
     Engine.Put { key = customer_key c w d cust; value = value t "cu:" };
   ]

@@ -35,7 +35,7 @@ let config t = t.config
 
 let initial_rows t =
   List.init t.config.keys (fun key ->
-      (key, Value_gen.make t.rng ~tag:(Printf.sprintf "y%d:" key) ~len:t.config.value_bytes))
+      (key, Value_gen.make_id t.rng ~prefix:"y" key ~len:t.config.value_bytes))
 
 let next t =
   List.init t.config.ops_per_txn (fun _ ->
@@ -49,7 +49,7 @@ let next t =
         Dbms.Engine.Put
           {
             key;
-            value = Value_gen.make t.rng ~tag:(Printf.sprintf "y%d:" key) ~len:t.config.value_bytes;
+            value = Value_gen.make_id t.rng ~prefix:"y" key ~len:t.config.value_bytes;
           }
       end)
 

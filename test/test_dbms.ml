@@ -240,6 +240,57 @@ let ssd_wal sim =
   let dev = Storage.Ssd.create sim Storage.Ssd.default in
   (Wal.create sim Wal.default_config ~device:dev, dev)
 
+(* Commit records forced one by one, well past the 64 KiB the WAL keeps
+   before it compacts, with no checkpoint; then a few left unforced. *)
+let wal_memory_bounded () =
+  run_in_sim (fun sim ->
+      let wal, _ = ssd_wal sim in
+      for txid = 1 to 20_000 do
+        Wal.force wal (Wal.append wal (Log_record.Commit { txid }))
+      done;
+      for txid = 20_001 to 20_030 do
+        ignore (Wal.append wal (Log_record.Commit { txid }))
+      done;
+      let held = String.length (Wal.stream_contents wal) in
+      let unforced = Lsn.to_int (Wal.end_lsn wal) - Lsn.to_int (Wal.flushed_lsn wal) in
+      let bound = 65536 + 512 + unforced in
+      Alcotest.(check bool)
+        (Printf.sprintf "holds %d of %d bytes (bound %d)" held
+           (Lsn.to_int (Wal.end_lsn wal)) bound)
+        true (held <= bound);
+      Alcotest.(check int) "held bytes end at the stream end"
+        (Lsn.to_int (Wal.end_lsn wal))
+        (Lsn.to_int (Wal.base_lsn wal) + held))
+
+let wal_compaction_keeps_media_log () =
+  run_in_sim (fun sim ->
+      let wal, dev = ssd_wal sim in
+      let header = Log_record.encoded_size (Log_record.Noop { filler = 0 }) in
+      let writes () = Storage.Disk_stats.writes (Storage.Block.stats dev) in
+      (* Every force ends on a sector boundary (a commit, then a filler
+         up to the boundary), so the WAL compacts at an aligned
+         [flushed_lsn]; a force with nothing new must still rewrite the
+         whole sector before it. *)
+      for txid = 1 to 300 do
+        ignore (Wal.append wal (Log_record.Commit { txid }));
+        let filler = (512 - ((Lsn.to_int (Wal.end_lsn wal) + header) mod 512)) mod 512 in
+        Wal.force wal (Wal.append wal (Log_record.Noop { filler }));
+        let before = writes () in
+        Wal.force_exclusive wal;
+        if writes () <> before + 1 then
+          Alcotest.failf "after commit %d: the tail sector was not rewritten" txid
+      done;
+      Alcotest.(check bool) "compacted" true (Lsn.to_int (Wal.base_lsn wal) > 0);
+      let records = Recovery.scan_records ~log_device:dev ~wal_config:Wal.default_config in
+      Alcotest.(check (list int)) "every record on media"
+        (List.init 300 (fun i -> i + 1))
+        (List.filter_map
+           (function
+             | Log_record.Commit { txid }, _ -> Some txid
+             | Log_record.Noop _, _ -> None
+             | _ -> Alcotest.fail "unexpected record")
+           records))
+
 let wal_append_then_force_durable () =
   run_in_sim (fun sim ->
       let wal, dev = ssd_wal sim in
@@ -790,6 +841,8 @@ let suites =
         case "master absent on fresh device" wal_master_absent;
         case "corrupt master rejected" wal_master_corrupt;
         case "force batch sizes recorded" wal_force_bytes_recorded;
+        case "forced commits keep wal memory bounded" wal_memory_bounded;
+        case "compaction keeps every record on media" wal_compaction_keeps_media_log;
       ] );
     ( "dbms.lock_table",
       [
@@ -1144,38 +1197,7 @@ let delete_reported_in_writes () =
   Sim.run rig.sim;
   Alcotest.(check bool) "delete visible as None" true (!writes = [ (5, None) ])
 
-let wal_truncate_frees_memory () =
-  run_in_sim (fun sim ->
-      let wal, dev = ssd_wal sim in
-      for i = 1 to 50 do
-        let lsn = Wal.append wal (Log_record.Commit { txid = i }) in
-        Wal.force wal lsn
-      done;
-      let before = String.length (Wal.stream_contents wal) in
-      Wal.truncate wal (Wal.flushed_lsn wal);
-      let after = String.length (Wal.stream_contents wal) in
-      Alcotest.(check bool)
-        (Printf.sprintf "stream shrank (%d -> %d)" before after)
-        true (after < before);
-      Alcotest.(check bool) "truncated bytes accounted" true
-        (Wal.truncated_bytes wal > 0);
-      (* Appending and forcing still works across the rebased buffer. *)
-      let lsn = Wal.append wal (Log_record.Commit { txid = 999 }) in
-      Wal.force wal lsn;
-      ignore dev)
-
-let wal_truncate_preserves_media_log () =
-  run_in_sim (fun sim ->
-      let wal, dev = ssd_wal sim in
-      let l1 = Wal.append wal (Log_record.Commit { txid = 1 }) in
-      Wal.force wal l1;
-      Wal.truncate wal l1;
-      let l2 = Wal.append wal (Log_record.Commit { txid = 2 }) in
-      Wal.force wal l2;
-      let records = Recovery.scan_records ~log_device:dev ~wal_config:Wal.default_config in
-      Alcotest.(check int) "both records on media" 2 (List.length records))
-
-let checkpoint_truncates_wal () =
+let checkpoint_keeps_recovery_exact () =
   let rig = make_rig () in
   in_guest rig (fun () ->
       for i = 1 to 40 do
@@ -1183,8 +1205,6 @@ let checkpoint_truncates_wal () =
       done;
       ignore (Checkpoint.run_once ~wal:rig.wal ~pool:rig.pool));
   Sim.run rig.sim;
-  Alcotest.(check bool) "wal memory recycled" true (Wal.truncated_bytes rig.wal > 0);
-  (* And recovery is still exact. *)
   let r = recover rig in
   Alcotest.(check (option string)) "state intact" (Some "t")
     (Hashtbl.find_opt r.Recovery.store 40)
@@ -1197,9 +1217,7 @@ let delete_suite =
       case "uncommitted delete undone" delete_uncommitted_undone;
       case "aborted delete restores the row" delete_abort_restores;
       case "delete reported as None in writes" delete_reported_in_writes;
-      case "truncate frees stream memory" wal_truncate_frees_memory;
-      case "truncate leaves the media log intact" wal_truncate_preserves_media_log;
-      case "checkpoint truncates the wal" checkpoint_truncates_wal;
+      case "checkpoint keeps recovery exact" checkpoint_keeps_recovery_exact;
     ] )
 
 let suites = suites @ [ delete_suite ]
@@ -1529,10 +1547,10 @@ let cleaner_suite =
 
 let suites = suites @ [ cleaner_suite ]
 
-(* -- WAL property: random append/force/truncate interleavings (appended) ------- *)
+(* -- WAL property: random append/force interleavings (appended) ---------------- *)
 
 let wal_interleaving_prop =
-  (* Whatever the interleaving of appends, forces and truncations, the
+  (* Whatever the interleaving of appends, forces and tail rewrites, the
      records decodable from durable media must always be a prefix of the
      appended sequence, and after a final force, the whole of it. *)
   prop "wal: durable log is always the appended prefix" ~count:60
@@ -1554,7 +1572,7 @@ let wal_interleaving_prop =
                    appended := record :: !appended;
                    ignore (Wal.append wal record)
                | 3 -> Wal.force wal (Wal.end_lsn wal)
-               | 4 -> Wal.truncate wal (Wal.flushed_lsn wal)
+               | 4 -> Wal.force_exclusive wal
                | _ ->
                    incr next_txid;
                    let record =
@@ -1866,8 +1884,47 @@ let eviction_allocation_flat () =
     Alcotest.failf "a miss with eviction allocates %.1f words at capacity 4,096 vs %.1f at 64"
       large small
 
+(* A cleaner pass must cost the same whatever the pool's size: its batch
+   comes from the dirty pages' own index, not a sort of every cached
+   page. Every page is dirty, so the pass flushes [batch] pages either
+   way; [Gc.allocated_bytes] counts the page images too, which skip the
+   minor heap. A pass that conses and sorts the dirty set allocates at
+   least three words per cached page (398,780 words at 4,096 pages vs
+   33,406 at 64). *)
+let cleaner_pass_flat () =
+  let words_per_pass capacity =
+    run_in_sim (fun sim ->
+        let dev = Storage.Ssd.create sim Storage.Ssd.default in
+        let config = { Buffer_pool.default_config with capacity_pages = capacity } in
+        let pool = Buffer_pool.create sim config ~device:dev ~wal_force:(fun ~page:_ _ -> ()) in
+        let keys_per_page = config.Buffer_pool.keys_per_page in
+        for id = 0 to capacity - 1 do
+          let key = id * keys_per_page in
+          Buffer_pool.with_page pool ~key (fun page ->
+              let lsn = Lsn.of_int (id + 1) in
+              Page.set page ~key ~value:"d" ~lsn;
+              Buffer_pool.mark_dirty pool page ~lsn)
+        done;
+        (* An empty minor heap: no collection inside the pass, which
+           would count promoted pages against it. *)
+        Gc.minor ();
+        let before = Gc.allocated_bytes () in
+        Buffer_pool.clean pool ~batch:16;
+        let words = (Gc.allocated_bytes () -. before) /. 8. in
+        Alcotest.(check int) "one batch flushed" 16 (Buffer_pool.page_writes pool);
+        words)
+  in
+  let small = words_per_pass 64 and large = words_per_pass 4096 in
+  if large > small +. 16. then
+    Alcotest.failf "a cleaner pass allocates %.0f words at capacity 4,096 vs %.0f at 64"
+      large small
+
 let pool_cost_suite =
-  ("dbms.buffer_pool_cost", [ case "eviction allocation flat in pool capacity" eviction_allocation_flat ])
+  ( "dbms.buffer_pool_cost",
+    [
+      case "eviction allocation flat in pool capacity" eviction_allocation_flat;
+      case "cleaner pass allocation flat in pool capacity" cleaner_pass_flat;
+    ] )
 
 let suites = suites @ [ pool_cost_suite ]
 
@@ -1963,7 +2020,7 @@ let page_view (parity, page) =
   ( parity,
     page.Page.id,
     Lsn.to_int page.Page.page_lsn,
-    List.sort compare (List.of_seq (Hashtbl.to_seq page.Page.values)) )
+    List.sort compare (List.of_seq (Int_table.to_seq page.Page.values)) )
 
 let slot_choice_matches_reference_prop =
   prop "header-first slot choice equals newest-intact rule" ~count:400

@@ -1234,3 +1234,49 @@ let latch_suite =
     ] )
 
 let suites = suites @ [ latch_suite ]
+
+(* -- Int_table ------------------------------------------------------------ *)
+
+(* Keys across the whole int range: small ones (so streams collide and
+   tables resize), negatives, values at and past 2^31, and the
+   extremes. *)
+let int_table_key =
+  QCheck2.Gen.(
+    oneof
+      [
+        int_range (-300) 300;
+        int;
+        map (fun n -> (1 lsl 31) + n) (int_range (-2) 2);
+        map (fun n -> -(1 lsl 31) + n) (int_range (-2) 2);
+        oneofl [ max_int; min_int; max_int - 1; min_int + 1; 1 lsl 62 - 1 ];
+      ])
+
+let int_table_hash_prop =
+  prop "int table: hash equals Hashtbl.hash" ~count:2000 int_table_key (fun key ->
+      Int_table.hash key = Hashtbl.hash key)
+
+let int_table_order_prop =
+  prop "int table: fold and to_seq order equal a generic Hashtbl's" ~count:300
+    ~print:QCheck2.Print.(list (pair bool int))
+    QCheck2.Gen.(list_size (int_range 0 600) (pair (frequency [ (3, pure true); (1, pure false) ]) int_table_key))
+    (fun ops ->
+      let generic = Hashtbl.create 8 and table = Int_table.create 8 in
+      List.iteri
+        (fun i (replace, key) ->
+          if replace then begin
+            Hashtbl.replace generic key i;
+            Int_table.replace table key i
+          end
+          else begin
+            Hashtbl.remove generic key;
+            Int_table.remove table key
+          end)
+        ops;
+      let fold_generic = Hashtbl.fold (fun k v acc -> (k, v) :: acc) generic [] in
+      let fold_table = Int_table.fold (fun k v acc -> (k, v) :: acc) table [] in
+      fold_generic = fold_table
+      && List.of_seq (Hashtbl.to_seq generic) = List.of_seq (Int_table.to_seq table)
+      && Hashtbl.length generic = Int_table.length table)
+
+let suites =
+  suites @ [ ("desim.int_table", [ int_table_hash_prop; int_table_order_prop ]) ]

@@ -17,6 +17,87 @@ let value_gen_tag_truncated () =
   let v = Value_gen.make rng ~tag:"very-long-tag" ~len:4 in
   Alcotest.(check string) "truncated" "very" v
 
+(* The id-tag builders against the formatted tag they replace: same
+   bytes and the same draws, cut at short lengths included. *)
+let value_gen_id_tags_prop =
+  let id =
+    QCheck2.Gen.(
+      oneof [ int_range (-1_000) 1_000_000; int; oneofl [ 0; -1; max_int; min_int ] ])
+  in
+  prop "id tags match the formatted tag" ~count:500
+    QCheck2.Gen.(tup5 (int_range 1 3) id id id (int_range 1 48))
+    (fun (ids, a, b, c, len) ->
+      let made, formatted =
+        match ids with
+        | 1 ->
+            ( (fun rng -> Value_gen.make_id rng ~prefix:"k" a ~len),
+              Printf.sprintf "k%d:" a )
+        | 2 ->
+            ( (fun rng -> Value_gen.make_id2 rng ~prefix:"di:" a b ~len),
+              Printf.sprintf "di:%d.%d:" a b )
+        | _ ->
+            ( (fun rng -> Value_gen.make_id3 rng ~prefix:"cu:" a b c ~len),
+              Printf.sprintf "cu:%d.%d.%d:" a b c )
+      in
+      let direct = Rng.create 9L and reference = Rng.create 9L in
+      made direct = Value_gen.make reference ~tag:formatted ~len
+      && Rng.int direct 1_000_000 = Rng.int reference 1_000_000)
+
+(* The first 1,000 values (with their keys) each generator emits,
+   digested; the digests were taken from the generators as they were
+   when they formatted each tag with [Printf.sprintf], so building the
+   tags in place changed no byte. *)
+let first_values emit =
+  let b = Buffer.create 65536 in
+  let n = ref 0 in
+  let add key value =
+    if !n < 1000 then begin
+      incr n;
+      Buffer.add_string b (string_of_int key);
+      Buffer.add_char b '=';
+      Buffer.add_string b value;
+      Buffer.add_char b '\n'
+    end
+  in
+  emit add (fun () -> !n >= 1000);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let of_rows rows add _full = List.iter (fun (key, value) -> add key value) rows
+
+let of_txns next add full =
+  while not (full ()) do
+    List.iter
+      (function
+        | Dbms.Engine.Put { key; value } -> add key value
+        | Dbms.Engine.Delete { key } -> add key ""
+        | Dbms.Engine.Get { key } -> add key "?")
+      (next ())
+  done
+
+let value_gen_golden () =
+  let rng () = Rng.create 2026L in
+  let micro () = Microbench.create (rng ()) Microbench.default_config in
+  let ycsb () = Ycsb_lite.create (rng ()) Ycsb_lite.workload_a in
+  let tpcc () = Tpcc_lite.create (rng ()) Tpcc_lite.default_config in
+  let check name expected emit =
+    Alcotest.(check string) name expected (first_values emit)
+  in
+  check "microbench rows" "5f8c86d392c194da83e93a4add2df364"
+    (of_rows (Microbench.initial_rows (micro ())));
+  check "microbench next" "68c6736c3ef2c9b12957003ab8ac6129"
+    (let g = micro () in
+     of_txns (fun () -> Microbench.next g));
+  check "ycsb rows" "4621232150daa2cee18ca6c61ddc1cb5"
+    (of_rows (Ycsb_lite.initial_rows (ycsb ())));
+  check "ycsb next" "36117371d0101c008520cd83df383687"
+    (let g = ycsb () in
+     of_txns (fun () -> Ycsb_lite.next g));
+  check "tpcc rows" "69ea7e2d2eeca48ff5dfbc8aea7e270d"
+    (of_rows (Tpcc_lite.initial_rows (tpcc ())));
+  check "tpcc next" "e4cdae3d70f576ae70878027da3e7b87"
+    (let g = tpcc () in
+     of_txns (fun () -> snd (Tpcc_lite.next g)))
+
 (* -- Key_dist ------------------------------------------------------------ *)
 
 let key_dist_uniform_bounds () =
@@ -259,6 +340,8 @@ let suites =
       [
         case "length and tag" value_gen_length_and_tag;
         case "tag truncation" value_gen_tag_truncated;
+        value_gen_id_tags_prop;
+        case "generators' first values unchanged" value_gen_golden;
       ] );
     ( "workload.key_dist",
       [
